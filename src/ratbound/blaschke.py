@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NearPole, OffCircle
-from .ratfun import PoleSet, RationalFunction, rat_derivative_eval, rat_eval
+from .errors import OffCircle
+from .ratfun import PoleSet, RationalFunction, pointwise, pole_guard, rat_derivative_eval, rat_eval
 
 # How far |z| may sit from 1 before circle-only formulas are refused.
 UNIT_CIRCLE_TOL = 1e-12
@@ -51,70 +51,53 @@ class BlaschkeProduct:
     def deriv_modulus_on_circle(self, z):
         return blaschke_deriv_modulus_on_T1(self, z)
 
-    def z_log_derivative(self, z):
+    @pointwise
+    def z_log_derivative(self, zs):
         """z B'(z)/B(z) from the factorwise logarithmic derivative.
 
         Valid anywhere away from poles and from the reflected zeros
         1/conj(a_j); on the unit circle the value is real and equals
         |B'(z)|.
         """
-        zs = np.asarray(z, dtype=np.complex128)
-        flat = np.atleast_1d(zs)
-        acc = np.zeros(flat.shape, dtype=np.complex128)
+        acc = np.zeros(zs.shape, dtype=np.complex128)
         for a in self.poles.poles:
             ac = np.conj(a)
-            acc += -ac * flat / (1.0 - ac * flat) - flat / (flat - a)
-        if np.isscalar(z) or zs.shape == ():
-            return complex(acc[0])
-        return acc.reshape(zs.shape)
+            acc += -ac * zs / (1.0 - ac * zs) - zs / (zs - a)
+        return acc
 
 
-def blaschke_eval(b: BlaschkeProduct, z):
+@pointwise
+def blaschke_eval(b: BlaschkeProduct, zs):
     """Evaluate the product factor by factor; no expansion is formed."""
-    zs = np.asarray(z, dtype=np.complex128)
-    flat = np.atleast_1d(zs)
-    if b.poles.n:
-        dist = np.abs(flat[..., None] - b.poles.as_array())
-        if dist.size and float(dist.min()) < 1e-12:
-            raise NearPole("Blaschke evaluation point within 1e-12 of a pole")
-    acc = np.ones(flat.shape, dtype=np.complex128)
+    pole_guard(b.poles, zs)
+    acc = np.ones(zs.shape, dtype=np.complex128)
     for a in b.poles.poles:
-        acc = acc * (1.0 - np.conj(a) * flat) / (flat - a)
-    if np.isscalar(z) or zs.shape == ():
-        return complex(acc[0])
-    return acc.reshape(zs.shape)
+        acc = acc * (1.0 - np.conj(a) * zs) / (zs - a)
+    return acc
 
 
-def blaschke_deriv_modulus_on_T1(b: BlaschkeProduct, z):
+@pointwise
+def blaschke_deriv_modulus_on_T1(b: BlaschkeProduct, zs):
     """|B'(z)| for |z| = 1 via sum_j (|a_j|^2 - 1)/|z - a_j|^2.
 
     Returns a strictly positive real for a nonempty pole set and 0.0
     for the empty product.  Raises OffCircle when |z| strays from 1 by
     more than 1e-12.
     """
-    zs = np.asarray(z, dtype=np.complex128)
-    flat = np.atleast_1d(zs)
-    _check_on_unit_circle(flat)
-    acc = np.zeros(flat.shape, dtype=np.float64)
+    _check_on_unit_circle(zs)
+    acc = np.zeros(zs.shape, dtype=np.float64)
     for a in b.poles.poles:
-        acc += (abs(a) ** 2 - 1.0) / np.abs(flat - a) ** 2
-    if np.isscalar(z) or zs.shape == ():
-        return float(acc[0])
-    return acc.reshape(zs.shape)
+        acc += (abs(a) ** 2 - 1.0) / np.abs(zs - a) ** 2
+    return acc
 
 
-def star_transform_deriv_modulus(r: RationalFunction, z):
+@pointwise
+def star_transform_deriv_modulus(r: RationalFunction, zs):
     """|(r*)'(z)| on the unit circle for r* = B(z) conj(r(1/conj(z))).
 
     Uses the circle identity |(r*)'(z)| = | |B'(z)| r(z) - z r'(z) |,
     which avoids differentiating the conjugated argument numerically.
     """
-    zs = np.asarray(z, dtype=np.complex128)
-    flat = np.atleast_1d(zs)
-    _check_on_unit_circle(flat)
-    b = BlaschkeProduct(r.poles)
-    bprime = np.atleast_1d(blaschke_deriv_modulus_on_T1(b, flat))
-    vals = np.abs(bprime * np.atleast_1d(rat_eval(r, flat)) - flat * np.atleast_1d(rat_derivative_eval(r, flat)))
-    if np.isscalar(z) or zs.shape == ():
-        return float(vals[0])
-    return vals.reshape(zs.shape)
+    _check_on_unit_circle(zs)
+    bprime = blaschke_deriv_modulus_on_T1(BlaschkeProduct(r.poles), zs)
+    return np.abs(bprime * rat_eval(r, zs) - zs * rat_derivative_eval(r, zs))

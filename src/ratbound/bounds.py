@@ -22,7 +22,6 @@ from .errors import DegenerateBound, HypothesisViolated, ParameterOutOfRange
 from .ratfun import (
     MODE_INSIDE,
     MODE_OUTSIDE,
-    POLE_PROXIMITY_CUTOFF,
     PoleSet,
     Polynomial,
     RationalFunction,
@@ -71,31 +70,39 @@ K_AT_MOST_ONE = "at-most-one"
 
 @dataclass(frozen=True)
 class HypothesisProfile:
-    """Zero-location and parameter requirements of one inequality."""
+    """Zero-location and parameter requirements of one inequality.
+
+    Every inequality is the general upper or lower formula with some
+    ingredients pinned: m -> 0 unless ``uses_m``, k -> 1 when the radius
+    rule is K_FIXED_ONE, and t -> n when ``t_is_n``.
+    """
 
     direction: str
     zero_mode: str
     k_rule: str
     needs_all_zeros: bool = False
     needs_boundary_zero: bool = False
-    m_circle: str = "none"  # "none" | "unit" | "scan"
+    uses_m: bool = False
+    t_is_n: bool = False
 
 
 _PROFILES = {
-    TheoremId.LI_UPPER: HypothesisProfile("upper", MODE_OUTSIDE, K_FIXED_ONE),
+    TheoremId.LI_UPPER: HypothesisProfile("upper", MODE_OUTSIDE, K_FIXED_ONE, t_is_n=True),
     TheoremId.LI_LOWER: HypothesisProfile("lower", MODE_INSIDE, K_FIXED_ONE),
-    TheoremId.AZIZ_SHAH_UPPER_97: HypothesisProfile("upper", MODE_OUTSIDE, K_FIXED_ONE, m_circle="unit"),
+    TheoremId.AZIZ_SHAH_UPPER_97: HypothesisProfile("upper", MODE_OUTSIDE, K_FIXED_ONE, uses_m=True, t_is_n=True),
     TheoremId.AZIZ_SHAH_LOWER_97: HypothesisProfile(
-        "lower", MODE_INSIDE, K_FIXED_ONE, needs_all_zeros=True, m_circle="unit"
+        "lower", MODE_INSIDE, K_FIXED_ONE, needs_all_zeros=True, uses_m=True, t_is_n=True
     ),
-    TheoremId.AZIZ_ZARGER_99: HypothesisProfile("upper", MODE_OUTSIDE, K_AT_LEAST_ONE),
+    TheoremId.AZIZ_ZARGER_99: HypothesisProfile("upper", MODE_OUTSIDE, K_AT_LEAST_ONE, t_is_n=True),
     TheoremId.AZIZ_SHAH_04: HypothesisProfile("lower", MODE_INSIDE, K_AT_MOST_ONE),
-    TheoremId.AZIZ_SHAH_04_COR: HypothesisProfile("lower", MODE_INSIDE, K_AT_MOST_ONE, needs_all_zeros=True),
-    TheoremId.MAIN_UPPER: HypothesisProfile("upper", MODE_OUTSIDE, K_AT_LEAST_ONE, m_circle="scan"),
+    TheoremId.AZIZ_SHAH_04_COR: HypothesisProfile(
+        "lower", MODE_INSIDE, K_AT_MOST_ONE, needs_all_zeros=True, t_is_n=True
+    ),
+    TheoremId.MAIN_UPPER: HypothesisProfile("upper", MODE_OUTSIDE, K_AT_LEAST_ONE, uses_m=True),
     TheoremId.MAIN_UPPER_COR: HypothesisProfile("upper", MODE_OUTSIDE, K_AT_LEAST_ONE, needs_boundary_zero=True),
-    TheoremId.MAIN_LOWER: HypothesisProfile("lower", MODE_INSIDE, K_AT_MOST_ONE, m_circle="scan"),
+    TheoremId.MAIN_LOWER: HypothesisProfile("lower", MODE_INSIDE, K_AT_MOST_ONE, uses_m=True),
     TheoremId.MAIN_LOWER_COR: HypothesisProfile(
-        "lower", MODE_INSIDE, K_AT_MOST_ONE, needs_all_zeros=True, m_circle="scan"
+        "lower", MODE_INSIDE, K_AT_MOST_ONE, needs_all_zeros=True, uses_m=True, t_is_n=True
     ),
 }
 
@@ -157,56 +164,47 @@ class BoundContext:
             raise ValueError("k must be positive and finite")
 
 
+def _pinned_k(prof: HypothesisProfile, k: float) -> float:
+    return 1.0 if prof.k_rule == K_FIXED_ONE else k
+
+
 def rhs_value(theorem: TheoremId, bprime, r_abs, ctx: BoundContext):
     """Bound right-hand side as a pure function of its scalar ingredients.
 
-    ``bprime`` and ``r_abs`` may be arrays; the result broadcasts.  No
-    hypothesis checking happens here, which is what lets tests compare
-    arms of the family on one shared context.
+    The upper bounds are the general formula
+    (|B'| - (n(1+k) - 2t)(|r| - m)^2 / ((1+k)(||r|| - m)^2)) (||r|| - m) / 2
+    and the lower bounds (|B'| + (2t - n(1+k))/(1+k)) (|r| + m) / 2, each
+    with the ingredients its profile pins.  ``bprime`` and ``r_abs`` may
+    be arrays; the result broadcasts.  No hypothesis checking happens
+    here, which is what lets tests compare bounds on one shared context.
     """
+    prof = _PROFILES[theorem]
     bp = np.asarray(bprime, dtype=np.float64)
     ra = np.asarray(r_abs, dtype=np.float64)
-    norm, m, t, n, k = ctx.norm, ctx.m, ctx.t, ctx.n, ctx.k
-    if theorem is TheoremId.LI_UPPER:
-        out = 0.5 * bp * norm
-    elif theorem is TheoremId.LI_LOWER:
-        out = (0.5 * bp - 0.5 * (n - t)) * ra
-    elif theorem is TheoremId.AZIZ_SHAH_UPPER_97:
-        out = 0.5 * bp * (norm - m)
-    elif theorem is TheoremId.AZIZ_SHAH_LOWER_97:
-        out = 0.5 * bp * (ra + m)
-    elif theorem is TheoremId.AZIZ_ZARGER_99:
-        out = 0.5 * (bp - n * (k - 1.0) / (k + 1.0) * ra**2 / norm**2) * norm
-    elif theorem is TheoremId.AZIZ_SHAH_04:
-        out = 0.5 * (bp + (2.0 * t - n * (1.0 + k)) / (1.0 + k)) * ra
-    elif theorem is TheoremId.AZIZ_SHAH_04_COR:
-        out = 0.5 * (bp + n * (1.0 - k) / (1.0 + k)) * ra
-    elif theorem is TheoremId.MAIN_UPPER:
-        gap = norm - m
-        out = 0.5 * (bp - (n * (1.0 + k) - 2.0 * t) * (ra - m) ** 2 / ((1.0 + k) * gap**2)) * gap
-    elif theorem is TheoremId.MAIN_UPPER_COR:
-        out = 0.5 * (bp - (n * (1.0 + k) - 2.0 * t) / (1.0 + k) * ra**2 / norm**2) * norm
-    elif theorem is TheoremId.MAIN_LOWER:
+    n, k = ctx.n, _pinned_k(prof, ctx.k)
+    m = ctx.m if prof.uses_m else 0.0
+    t = n if prof.t_is_n else ctx.t
+    if prof.direction == "upper":
+        gap = ctx.norm - m
+        coef = n * (1.0 + k) - 2.0 * t
+        # A zero coefficient drops the term outright: at ||r|| = m it is 0 * 0/0.
+        drop = coef * (ra - m) ** 2 / ((1.0 + k) * gap**2) if coef else 0.0
+        out = 0.5 * (bp - drop) * gap
+    else:
         out = 0.5 * (bp + (2.0 * t - n * (1.0 + k)) / (1.0 + k)) * (ra + m)
-    elif theorem is TheoremId.MAIN_LOWER_COR:
-        out = 0.5 * (bp + n * (1.0 - k) / (1.0 + k)) * (ra + m)
-    else:  # pragma: no cover
-        raise KeyError(theorem)
     if np.isscalar(bprime) and np.isscalar(r_abs):
         return float(out)
     return out
 
 
 def build_context(theorem: TheoremId, r: RationalFunction, k: float, grid_count: int) -> BoundContext:
-    """Compute norm and the designated minimum modulus for one instance."""
+    """Compute norm and, where the bound uses it, the minimum modulus on |z| = k."""
     prof = _PROFILES[theorem]
     norm = sup_modulus_on_circle(r, 1.0, CircleGrid(1.0, grid_count)).value
-    if prof.m_circle == "unit":
-        m, m_circle = min_modulus_on_circle(r, 1.0, CircleGrid(1.0, grid_count)).value, 1.0
-    elif prof.m_circle == "scan":
-        m, m_circle = min_modulus_on_circle(r, k, CircleGrid(k, grid_count)).value, k
-    else:
-        m, m_circle = 0.0, None
+    m, m_circle = 0.0, None
+    if prof.uses_m:
+        m_circle = _pinned_k(prof, k)
+        m = min_modulus_on_circle(r, m_circle, CircleGrid(m_circle, grid_count)).value
     ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=k, m_circle=m_circle)
     _degenerate_guard(theorem, ctx)
     return ctx
@@ -217,15 +215,22 @@ def _degenerate_guard(theorem: TheoremId, ctx: BoundContext):
         raise DegenerateBound(f"norm {ctx.norm!r} and min modulus {ctx.m!r} coincide within {DEGENERATE_GAP}")
 
 
+def _margins(theorem: TheoremId, r: RationalFunction, ctx: BoundContext, zs):
+    """|r'|, RHS and margin at the unit-circle points zs (a scalar or an array)."""
+    deriv_abs = np.abs(rat_derivative_eval(r, zs))
+    bp = blaschke_deriv_modulus_on_T1(BlaschkeProduct(r.poles), zs)
+    rhs = rhs_value(theorem, bp, np.abs(rat_eval(r, zs)), ctx)
+    margin = rhs - deriv_abs if _PROFILES[theorem].direction == "upper" else deriv_abs - rhs
+    return deriv_abs, rhs, margin
+
+
 def bound_rhs(theorem: TheoremId, ctx: BoundContext, r: RationalFunction, z) -> float:
     """Bound RHS at one circle point, with hypothesis and context checks."""
     if ctx.t != r.t or ctx.n != r.n:
         raise ValueError(f"context (t={ctx.t}, n={ctx.n}) disagrees with instance (t={r.t}, n={r.n})")
     check_hypothesis(theorem, r, ctx.k)
     _degenerate_guard(theorem, ctx)
-    zc = complex(z)
-    bp = blaschke_deriv_modulus_on_T1(BlaschkeProduct(r.poles), zc)
-    return float(rhs_value(theorem, bp, abs(rat_eval(r, zc)), ctx))
+    return float(_margins(theorem, r, ctx, complex(z))[1])
 
 
 @dataclass(frozen=True)
@@ -246,28 +251,22 @@ class BoundVerdict:
         return self.violations == 0 and self.degenerate is None
 
 
+def _sweep(theorem: TheoremId, r: RationalFunction, grid: CircleGrid):
+    """Context, unit-circle angles, |r'|, RHS and margins of one grid sweep."""
+    check_hypothesis(theorem, r, grid.k)
+    ctx = build_context(theorem, r, grid.k, grid.count)
+    thetas = CircleGrid(1.0, grid.count).thetas()
+    return (ctx, thetas) + _margins(theorem, r, ctx, np.exp(1j * thetas))
+
+
 def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundVerdict:
     """Sweep the inequality over the unit circle and report the margins.
 
     grid.k is the zero-region radius of the hypothesis; margins are
-    always evaluated on the unit circle with grid.count points.  Points
-    within 1e-12 of a pole are skipped and counted.  Raises
+    always evaluated on the unit circle with grid.count points.  Raises
     HypothesisViolated or DegenerateBound rather than certifying junk.
     """
-    prof = _PROFILES[theorem]
-    check_hypothesis(theorem, r, grid.k)
-    ctx = build_context(theorem, r, grid.k, grid.count)
-    unit = CircleGrid(1.0, grid.count)
-    thetas = unit.thetas()
-    points = unit.points()
-    keep = np.ones(points.size, dtype=bool)
-    if r.poles.n:
-        keep = np.min(np.abs(points[:, None] - r.poles.as_array()[None, :]), axis=1) >= POLE_PROXIMITY_CUTOFF
-    zs = points[keep]
-    deriv_abs = np.abs(rat_derivative_eval(r, zs))
-    bp = blaschke_deriv_modulus_on_T1(BlaschkeProduct(r.poles), zs)
-    rhs = rhs_value(theorem, bp, np.abs(rat_eval(r, zs)), ctx)
-    margin = rhs - deriv_abs if prof.direction == "upper" else deriv_abs - rhs
+    ctx, thetas, _, _, margin = _sweep(theorem, r, grid)
     worst = int(np.argmin(margin))
     tol = MARGIN_TOL * max(1.0, ctx.norm)
     return BoundVerdict(
@@ -275,24 +274,17 @@ def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundV
         context=ctx,
         grid_count=grid.count,
         min_margin=float(margin[worst]),
-        worst_theta=float(thetas[keep][worst]),
+        worst_theta=float(thetas[worst]),
         violations=int(np.sum(margin < -tol)),
-        skipped_points=int(np.sum(~keep)),
+        # build_context refuses poles within 1e-9 of the unit circle, so no
+        # grid point comes within the 1e-12 pole cutoff and none is skipped.
+        skipped_points=0,
     )
 
 
 def margin_curve(theorem: TheoremId, r: RationalFunction, grid: CircleGrid):
     """Rows (theta, |r'|, RHS, margin), one per grid point on the unit circle."""
-    prof = _PROFILES[theorem]
-    check_hypothesis(theorem, r, grid.k)
-    ctx = build_context(theorem, r, grid.k, grid.count)
-    thetas = CircleGrid(1.0, grid.count).thetas()
-    zs = np.exp(1j * thetas)
-    deriv_abs = np.abs(rat_derivative_eval(r, zs))
-    bp = blaschke_deriv_modulus_on_T1(BlaschkeProduct(r.poles), zs)
-    rhs = rhs_value(theorem, bp, np.abs(rat_eval(r, zs)), ctx)
-    margin = rhs - deriv_abs if prof.direction == "upper" else deriv_abs - rhs
-    return thetas, deriv_abs, rhs, margin
+    return _sweep(theorem, r, grid)[1:]
 
 
 def blaschke_offset_family(poles: PoleSet, h: float, alpha: float = 0.0) -> RationalFunction:
@@ -310,17 +302,6 @@ def blaschke_offset_family(poles: PoleSet, h: float, alpha: float = 0.0) -> Rati
     total[: coeffs.size] += coeffs
     total[: wpoly.coeffs.size] += h * np.exp(1j * alpha) * wpoly.coeffs
     return RationalFunction(Polynomial(total), poles)
-
-
-_POWER_FAMILY = {
-    TheoremId.AZIZ_ZARGER_99,
-    TheoremId.AZIZ_SHAH_04,
-    TheoremId.AZIZ_SHAH_04_COR,
-    TheoremId.MAIN_UPPER,
-    TheoremId.MAIN_UPPER_COR,
-    TheoremId.MAIN_LOWER,
-    TheoremId.MAIN_LOWER_COR,
-}
 
 
 def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
@@ -347,14 +328,15 @@ def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
         # This bound admits t < n, but its tight family is the n-fold one.
         raise ParameterOutOfRange("the equality family here has exactly n zeros")
     poles = PoleSet([complex(a, 0.0)] * int(n))
-    if theorem in _POWER_FAMILY:
+    if prof.k_rule != K_FIXED_ONE:
         if not _radius_ok(prof, k):
             raise ParameterOutOfRange(f"{theorem.value} does not admit radius k={k}")
         if t < 1:
             raise ParameterOutOfRange("the power family needs at least one zero")
         r = RationalFunction.from_zeros([complex(-k, 0.0)] * int(t), poles, 1.0)
     else:
-        if theorem in (TheoremId.LI_UPPER, TheoremId.LI_LOWER) and k != 1.0:
+        if not prof.uses_m and k != 1.0:
+            # Without the m term, B + h is tight only at h = 1.
             raise ParameterOutOfRange(f"{theorem.value} admits only k=1")
         if prof.direction == "upper" and k < 1.0:
             raise ParameterOutOfRange("offset magnitude below 1 breaks the zero hypothesis")
@@ -369,5 +351,5 @@ def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
 def sharpness_gap(theorem: TheoremId, r: RationalFunction, z, k: float = 1.0, grid_count: int = 1024) -> float:
     """|RHS(z) - |r'(z)|| for one instance; small means the bound is tight."""
     ctx = build_context(theorem, r, float(k), grid_count)
-    rhs = bound_rhs(theorem, ctx, r, z)
-    return float(abs(rhs - abs(rat_derivative_eval(r, complex(z)))))
+    check_hypothesis(theorem, r, ctx.k)
+    return float(abs(_margins(theorem, r, ctx, complex(z))[2]))

@@ -57,7 +57,6 @@ class CircleScanResult:
     arg_at: float
     grid_count: int
     refined: bool
-    certified_bound: float
 
 
 def _golden(fun, lo: float, hi: float, maximize: bool):
@@ -100,10 +99,9 @@ def _scan(r: RationalFunction, k: float, grid: CircleGrid | None, maximize: bool
     _pole_circle_guard(r, k)
     thetas = grid.thetas()
     vals = np.abs(rat_eval(r, grid.points()))
-    certified = float(np.max(np.abs(np.diff(np.concatenate([vals, vals[:1]])))))
     best = int(np.argmax(vals) if maximize else np.argmin(vals))
     if not maximize and float(vals[best]) < ZERO_SNAP:
-        return CircleScanResult(0.0, float(thetas[best]), grid.count, False, certified)
+        return CircleScanResult(0.0, float(thetas[best]), grid.count, False)
     step = 2.0 * np.pi / grid.count
 
     def modulus(theta: float) -> float:
@@ -116,8 +114,8 @@ def _scan(r: RationalFunction, k: float, grid: CircleGrid | None, maximize: bool
     if (maximize and val_ref < vals[best]) or (not maximize and val_ref > vals[best]):
         theta_ref, val_ref = float(thetas[best]), float(vals[best])
     if not maximize and val_ref < ZERO_SNAP:
-        return CircleScanResult(0.0, theta_ref % (2.0 * np.pi), grid.count, False, certified)
-    return CircleScanResult(float(val_ref), theta_ref % (2.0 * np.pi), grid.count, True, certified)
+        return CircleScanResult(0.0, theta_ref % (2.0 * np.pi), grid.count, False)
+    return CircleScanResult(float(val_ref), theta_ref % (2.0 * np.pi), grid.count, True)
 
 
 def sup_modulus_on_circle(r: RationalFunction, k: float, grid: CircleGrid | None = None) -> CircleScanResult:
@@ -143,7 +141,7 @@ def min_modulus_on_circle(r: RationalFunction, k: float, grid: CircleGrid | None
             zero = r.zeros()[np.argmax(hit)]
             theta = float(np.angle(zero) % (2.0 * np.pi))
             count = grid.count if grid is not None else DEFAULT_GRID_COUNT
-            return CircleScanResult(0.0, theta, count, False, 0.0)
+            return CircleScanResult(0.0, theta, count, False)
     return _scan(r, k, grid, maximize=False)
 
 
@@ -163,7 +161,7 @@ def winding_zero_count(p: Polynomial, k: float) -> int:
     count = WINDING_START
     while count <= WINDING_MAX:
         zs = k * np.exp(2j * np.pi * np.arange(count) / count)
-        vals = np.atleast_1d(p(zs))
+        vals = p(zs)
         if np.any(vals == 0):
             raise ZeroOnContour("a contour sample is an exact numerator root")
         steps = np.angle(np.roll(vals, -1) / vals)
@@ -171,7 +169,7 @@ def winding_zero_count(p: Polynomial, k: float) -> int:
             # Newton step |p|/|p'| estimates the distance to the nearest
             # root; a numerically on-contour root defeats phase sampling.
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton = np.abs(vals) / np.abs(np.atleast_1d(dp(zs)))
+                newton = np.abs(vals) / np.abs(dp(zs))
             newton = np.where(np.isfinite(newton), newton, np.inf)
             if float(newton.min()) <= CIRCLE_MATCH_TOL * max(1.0, k):
                 raise ZeroOnContour("a numerator root sits on the contour")

@@ -19,11 +19,10 @@ import json
 import os
 import sys
 
-from .bounds import TheoremId, certify, margin_curve
+from .bounds import TheoremId, certify, hypothesis_zero_location, margin_curve, profile
 from .circlescan import DEFAULT_GRID_COUNT, CircleGrid
 from .errors import DegenerateBound, HypothesisViolated, ParseError, RatboundError
 from .harness import GeneratorSpec, instance_from_dict, run_campaign
-from .ratfun import ZeroLocation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,23 +67,28 @@ def _theorem(name: str) -> TheoremId:
         raise ParseError(f"unknown theorem {name!r}; choose from {', '.join(THEOREM_NAMES)}")
 
 
+def _grid(k: float, count: int) -> CircleGrid:
+    try:
+        return CircleGrid(k, count)
+    except ValueError as exc:
+        raise ParseError(f"{exc} (k={k!r}, grid count {count})")
+
+
+def _instance_args(args) -> tuple:
+    """(theorem, instance, grid) of certify and curves; --k beats the file's k, which beats 1."""
+    r, file_k = _load_instance(args.instance)
+    theorem = _theorem(args.theorem)
+    k = args.k if args.k is not None else (file_k if file_k is not None else 1.0)
+    return theorem, r, _grid(k, args.grid)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
 def cmd_certify(args) -> int:
-    r, file_k = _load_instance(args.instance)
-    theorem = _theorem(args.theorem)
-    k = args.k if args.k is not None else (file_k if file_k is not None else 1.0)
-    grid = CircleGrid(k, args.grid)
-    try:
-        verdict = certify(theorem, r, grid)
-    except HypothesisViolated as exc:
-        print(f"hypothesis: {exc}")
-        return EXIT_HYPOTHESIS
-    except DegenerateBound as exc:
-        print(f"degenerate: {exc}")
-        return EXIT_DEGENERATE
+    theorem, r, grid = _instance_args(args)
+    verdict = certify(theorem, r, grid)
     ctx = verdict.context
     print(f"theorem      {theorem.value}")
     print(f"poles n      {ctx.n}")
@@ -101,9 +105,7 @@ def cmd_certify(args) -> int:
 
 def cmd_campaign(args) -> int:
     theorem = _theorem(args.theorem)
-    grid = CircleGrid(args.k, args.grid)
-    from .bounds import hypothesis_zero_location, profile
-
+    grid = _grid(args.k, args.grid)
     region = hypothesis_zero_location(theorem, args.k)
     p_boundary = args.p_boundary
     if profile(theorem).needs_boundary_zero and p_boundary == 0.0:
@@ -128,17 +130,7 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    r, file_k = _load_instance(args.instance)
-    theorem = _theorem(args.theorem)
-    k = args.k if args.k is not None else (file_k if file_k is not None else 1.0)
-    try:
-        thetas, deriv_abs, rhs, margin = margin_curve(theorem, r, CircleGrid(k, args.grid))
-    except HypothesisViolated as exc:
-        print(f"hypothesis: {exc}")
-        return EXIT_HYPOTHESIS
-    except DegenerateBound as exc:
-        print(f"degenerate: {exc}")
-        return EXIT_DEGENERATE
+    thetas, deriv_abs, rhs, margin = margin_curve(*_instance_args(args))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("theta,deriv_modulus,bound_rhs,margin\n")
@@ -197,12 +189,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    grid = getattr(args, "grid", default_grid)
-    if grid < 64 or grid & (grid - 1):
-        print(f"--grid {grid} must be a power of two, at least 64", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
+    except HypothesisViolated as exc:
+        print(f"hypothesis: {exc}")
+        return EXIT_HYPOTHESIS
+    except DegenerateBound as exc:
+        print(f"degenerate: {exc}")
+        return EXIT_DEGENERATE
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -18,7 +18,6 @@ from .bounds import BoundVerdict, TheoremId, certify, hypothesis_zero_location, 
 from .circlescan import CircleGrid
 from .errors import DegenerateBound, HypothesisMismatch, SpecInvalid
 from .ratfun import (
-    MODE_INSIDE,
     MODE_OUTSIDE,
     MODE_UNCONSTRAINED,
     PoleSet,
@@ -32,6 +31,10 @@ COMFORTABLE_POLE_FLOOR = 1.1
 HARD_POLE_FLOOR = 1.01
 # Generated points keep this distance from scan circles and one another.
 SEPARATION = 1e-6
+# Rejected draws allowed per pole or zero before the spec is refused.  A
+# draw rejected with probability p runs out with probability p**DRAW_BUDGET,
+# so only a region almost wholly within SEPARATION of what it must avoid does.
+DRAW_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -71,14 +74,15 @@ class GeneratorSpec:
 
 
 def _draw_pole(rng: CounterRng, lo: float, hi: float, avoid_radii) -> complex:
-    while True:
+    for _ in range(DRAW_BUDGET):
         rho = rng.next_radius(lo, hi)
         if all(abs(rho - k) >= SEPARATION for k in avoid_radii):
             return rho * np.exp(1j * rng.next_angle())
+    raise SpecInvalid(f"no pole radius in [{lo}, {hi}] keeps {SEPARATION} off the scan radii in {DRAW_BUDGET} draws")
 
 
 def _draw_zero(rng: CounterRng, region: ZeroLocation, p_boundary: float, poles) -> complex:
-    while True:
+    for _ in range(DRAW_BUDGET):
         if region.mode == MODE_UNCONSTRAINED:
             rho = 2.0 * np.sqrt(rng.next_float())
         elif rng.next_float() < p_boundary:
@@ -90,6 +94,7 @@ def _draw_zero(rng: CounterRng, region: ZeroLocation, p_boundary: float, poles) 
         z = rho * np.exp(1j * rng.next_angle())
         if all(abs(z - a) >= SEPARATION for a in poles):
             return complex(z)
+    raise SpecInvalid(f"no zero keeps {SEPARATION} off the poles in {DRAW_BUDGET} draws")
 
 
 def generate(spec: GeneratorSpec) -> list:

@@ -10,6 +10,7 @@ root finder when the instance was generated from its zeros.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,15 +112,32 @@ class Polynomial:
         return computed
 
 
-def poly_eval(p: Polynomial, z):
-    """Horner evaluation; scalar in, scalar out, arrays pass through."""
-    zs = np.asarray(z, dtype=np.complex128)
-    acc = np.full(zs.shape, p.coeffs[-1], dtype=np.complex128)
-    for c in p.coeffs[-2::-1]:
+def pointwise(fn):
+    """Let ``fn(obj, zs)``, written for a flat complex array, take any z.
+
+    A scalar z comes back as a Python scalar; an array keeps its shape.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(obj, z):
+        zs = np.asarray(z, dtype=np.complex128)
+        out = fn(obj, zs.reshape(-1))
+        return out.item() if zs.ndim == 0 else out.reshape(zs.shape)
+
+    return wrapper
+
+
+def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    acc = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
         acc = acc * zs + c
-    if np.isscalar(z) or zs.shape == ():
-        return complex(acc)
     return acc
+
+
+@pointwise
+def poly_eval(p: Polynomial, zs):
+    """Horner evaluation; scalar in, scalar out, arrays keep their shape."""
+    return _horner(p.coeffs, zs)
 
 
 def _aberth_sweeps(coeffs: np.ndarray, guesses: np.ndarray, budget: int) -> np.ndarray:
@@ -182,7 +200,7 @@ def poly_roots(p: Polynomial, sweep_budget: int = ROOT_SWEEP_BUDGET) -> np.ndarr
         angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.7 / d
         found = _aberth_sweeps(coeffs, radius * np.exp(1j * angles), sweep_budget)
         scale = float(np.max(np.abs(coeffs)))
-        resid = np.abs(poly_eval(Polynomial(coeffs), found))
+        resid = np.abs(_horner(coeffs, found))
         allowed = ROOT_RESIDUAL_FACTOR * scale * np.maximum(1.0, np.abs(found)) ** d
         if np.any(resid > allowed):
             raise NonConvergence(
@@ -289,10 +307,11 @@ class RationalFunction:
         return rat_derivative_eval(self, z)
 
 
-def _pole_guard(r: RationalFunction, zs: np.ndarray):
-    if not r.poles.n:
+def pole_guard(poles: PoleSet, zs: np.ndarray):
+    """Raise NearPole if any point of zs lies within POLE_PROXIMITY_CUTOFF of a pole."""
+    if not poles.n:
         return
-    dist = np.abs(zs[..., None] - r.poles.as_array())
+    dist = np.abs(zs[..., None] - poles.as_array())
     nearest = float(dist.min()) if dist.size else np.inf
     if nearest < POLE_PROXIMITY_CUTOFF:
         raise NearPole(f"evaluation point within {nearest:.3g} of a pole")
@@ -305,31 +324,23 @@ def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
     return den
 
 
-def rat_eval(r: RationalFunction, z):
+@pointwise
+def rat_eval(r: RationalFunction, zs):
     """Evaluate r(z); the denominator is kept in factored form."""
-    zs = np.asarray(z, dtype=np.complex128)
-    flat = np.atleast_1d(zs)
-    _pole_guard(r, flat)
-    vals = np.atleast_1d(poly_eval(r.numer, flat)) / _denominator(r, flat)
-    if np.isscalar(z) or zs.shape == ():
-        return complex(vals[0])
-    return vals.reshape(zs.shape)
+    pole_guard(r.poles, zs)
+    return _horner(r.numer.coeffs, zs) / _denominator(r, zs)
 
 
-def rat_derivative_eval(r: RationalFunction, z):
+@pointwise
+def rat_derivative_eval(r: RationalFunction, zs):
     """Evaluate r'(z) by the quotient rule, r' = (p' - p * w'/w) / w."""
-    zs = np.asarray(z, dtype=np.complex128)
-    flat = np.atleast_1d(zs)
-    _pole_guard(r, flat)
-    pv = np.atleast_1d(poly_eval(r.numer, flat))
-    dv = np.atleast_1d(poly_eval(r.numer.derivative(), flat))
-    logw = np.zeros(flat.shape, dtype=np.complex128)
+    pole_guard(r.poles, zs)
+    pv = _horner(r.numer.coeffs, zs)
+    dv = _horner(r.numer.derivative().coeffs, zs)
+    logw = np.zeros(zs.shape, dtype=np.complex128)
     for a in r.poles.poles:
-        logw += 1.0 / (flat - a)
-    vals = (dv - pv * logw) / _denominator(r, flat)
-    if np.isscalar(z) or zs.shape == ():
-        return complex(vals[0])
-    return vals.reshape(zs.shape)
+        logw += 1.0 / (zs - a)
+    return (dv - pv * logw) / _denominator(r, zs)
 
 
 def classify_zeros(r: RationalFunction, where: ZeroLocation) -> bool:

@@ -11,6 +11,7 @@ from ratbound import (
     DegenerateBound,
     HypothesisViolated,
     ParameterOutOfRange,
+    PoleOnCircle,
     PoleSet,
     Polynomial,
     RationalFunction,
@@ -30,7 +31,7 @@ from ratbound import (
     rhs_value,
     sharpness_gap,
 )
-from ratbound.harness import GeneratorSpec, generate
+from ratbound.harness import GeneratorSpec, generate, instance_from_dict
 
 UPPER_IDS = (
     TheoremId.LI_UPPER,
@@ -81,6 +82,69 @@ def test_rhs_arms_hand_oracle():
     }
     for theorem, expected in cases.items():
         assert abs(rhs_value(theorem, bp, ra, ctx) - expected) <= 1e-12, theorem
+
+
+# The eleven closed forms as the literature states them, one per id.  They
+# are the oracle for rhs_value, which evaluates only the two general
+# formulas with each id's ingredients pinned, so the reduction lattice
+# below would otherwise compare the general formulas with themselves.
+LITERAL_RHS = {
+    TheoremId.LI_UPPER: lambda bp, ra, norm, m, t, n, k: 0.5 * bp * norm,
+    TheoremId.LI_LOWER: lambda bp, ra, norm, m, t, n, k: (0.5 * bp - 0.5 * (n - t)) * ra,
+    TheoremId.AZIZ_SHAH_UPPER_97: lambda bp, ra, norm, m, t, n, k: 0.5 * bp * (norm - m),
+    TheoremId.AZIZ_SHAH_LOWER_97: lambda bp, ra, norm, m, t, n, k: 0.5 * bp * (ra + m),
+    TheoremId.AZIZ_ZARGER_99: lambda bp, ra, norm, m, t, n, k: (
+        0.5 * (bp - n * (k - 1.0) / (k + 1.0) * ra**2 / norm**2) * norm
+    ),
+    TheoremId.AZIZ_SHAH_04: lambda bp, ra, norm, m, t, n, k: 0.5 * (bp + (2.0 * t - n * (1.0 + k)) / (1.0 + k)) * ra,
+    TheoremId.AZIZ_SHAH_04_COR: lambda bp, ra, norm, m, t, n, k: 0.5 * (bp + n * (1.0 - k) / (1.0 + k)) * ra,
+    TheoremId.MAIN_UPPER: lambda bp, ra, norm, m, t, n, k: (
+        0.5 * (bp - (n * (1.0 + k) - 2.0 * t) * (ra - m) ** 2 / ((1.0 + k) * (norm - m) ** 2)) * (norm - m)
+    ),
+    TheoremId.MAIN_UPPER_COR: lambda bp, ra, norm, m, t, n, k: (
+        0.5 * (bp - (n * (1.0 + k) - 2.0 * t) / (1.0 + k) * ra**2 / norm**2) * norm
+    ),
+    TheoremId.MAIN_LOWER: lambda bp, ra, norm, m, t, n, k: (
+        0.5 * (bp + (2.0 * t - n * (1.0 + k)) / (1.0 + k)) * (ra + m)
+    ),
+    TheoremId.MAIN_LOWER_COR: lambda bp, ra, norm, m, t, n, k: 0.5 * (bp + n * (1.0 - k) / (1.0 + k)) * (ra + m),
+}
+
+
+def test_rhs_matches_literal_closed_forms():
+    # Most contexts carry m > 0, t < n and k != 1 into ids that pin them;
+    # every fourth sits at k = 1, t = n, where the upper coefficient is 0.
+    rng = CounterRng(4405)
+    worst = 0.0
+    for trial in range(3000):
+        sub = rng.split(trial)
+        ctx = random_context(sub)
+        if trial % 4 == 0:
+            ctx = BoundContext(norm=ctx.norm, m=ctx.m, t=ctx.n, n=ctx.n, k=1.0)
+        bp = 8.0 * np.array([sub.next_float() for _ in range(4)])
+        ra = ctx.norm * np.array([sub.next_float() for _ in range(4)])
+        for theorem, literal in LITERAL_RHS.items():
+            want = literal(bp, ra, ctx.norm, ctx.m, ctx.t, ctx.n, ctx.k)
+            got = rhs_value(theorem, bp, ra, ctx)
+            worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))))
+            scalar = rhs_value(theorem, float(bp[0]), float(ra[0]), ctx)
+            assert isinstance(scalar, float), theorem
+            worst = max(worst, abs(scalar - want[0]) / max(1.0, abs(want[0])))
+    assert worst <= 1e-12
+
+
+def test_zero_coefficient_upper_arm_at_norm_equal_m():
+    # A pole-free constant has ||r|| = m.  aziz-shah-upper-97 pins t -> n and
+    # k -> 1, so the squared term of the upper formula has coefficient 0 and
+    # must vanish rather than become 0 * 0/0 = NaN, which would count as no
+    # violation at all.
+    ctx = BoundContext(norm=2.0, m=2.0, t=0, n=0, k=1.0)
+    assert rhs_value(TheoremId.AZIZ_SHAH_UPPER_97, 0.0, 2.0, ctx) == 0.0
+    r, _ = instance_from_dict({"poles": [], "zeros": [], "leading": [2, 0]})
+    verdict = certify(TheoremId.AZIZ_SHAH_UPPER_97, r, CircleGrid(1.0, 256))
+    assert verdict.context.norm == verdict.context.m == 2.0
+    assert verdict.min_margin == 0.0
+    assert verdict.passed
 
 
 def test_rhs_broadcasts():
@@ -272,6 +336,14 @@ def test_certify_refuses_pure_blaschke_for_upper():
     poles = PoleSet([2.0])
     r = RationalFunction.from_zeros([0.5], poles)
     with pytest.raises(HypothesisViolated):
+        certify(TheoremId.LI_UPPER, r, CircleGrid(1.0, 1024))
+
+
+def test_certify_refuses_pole_next_to_unit_circle():
+    # Poles within 1e-9 of the unit circle are refused before any sweep, so
+    # no sweep point can come within the 1e-12 pole cutoff of evaluation.
+    r = RationalFunction(Polynomial([1.0]), PoleSet([1.0 + 1e-13]))
+    with pytest.raises(PoleOnCircle):
         certify(TheoremId.LI_UPPER, r, CircleGrid(1.0, 1024))
 
 

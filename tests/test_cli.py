@@ -1,6 +1,7 @@
 """Exit codes, CSV output, and report determinism of the console entry point."""
 
 import json
+import time
 
 import pytest
 
@@ -111,6 +112,51 @@ def test_degenerate_exits_four(tmp_path, capsys):
     path.write_text(json.dumps({"poles": [], "zeros": [], "leading": [0.7, 0.0]}))
     assert main(["certify", str(path), "main-upper"]) == 4
     assert "degenerate" in capsys.readouterr().out
+
+
+def test_pole_next_to_circle_exits_one(tmp_path, capsys):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"poles": [[1.0 + 1e-13, 0.0]], "zeros": [], "leading": [1.0, 0.0]}))
+    assert main(["certify", str(path), "li-upper"]) == 1
+    err = capsys.readouterr().err
+    assert "PoleOnCircle" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "{inst}", "li-upper", "--k", "nan"],
+        ["curves", "{inst}", "li-upper", "{dir}/curve.csv", "--k", "-1"],
+        ["campaign", "--theorem", "li-upper", "--n", "2", "--k", "0", "--out", "{dir}/report.json"],
+        ["certify", "{negk}", "li-upper"],
+    ],
+    ids=["certify-k-nan", "curves-k-negative", "campaign-k-zero", "file-k-negative"],
+)
+def test_bad_radius_exits_one(tmp_path, capsys, argv):
+    r, _ = make_extremal(TheoremId.LI_UPPER, 3.0, 1.0, 2, 2)
+    inst = write_instance(tmp_path / "inst.json", r, 1.0)
+    negk = tmp_path / "negk.json"
+    negk.write_text(json.dumps(dict(instance_to_dict(r), k=-1)), encoding="utf-8")
+    args = [a.format(inst=inst, negk=negk, dir=tmp_path) for a in argv]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "grid radius must be a positive finite real" in err and len(err.splitlines()) == 1
+
+
+def test_narrow_pole_annulus_exits_one_promptly(tmp_path, capsys):
+    # Every radius of [1.5, 1.5000001] lies within 1e-6 of the scan radius 1.5,
+    # so no pole can be drawn; the draw budget must end the search.
+    start = time.perf_counter()
+    code = main(
+        [
+            "campaign", "--theorem", "main-upper", "--n", "3", "--k", "1.5",
+            "--pole-min", "1.5", "--pole-max", "1.5000001", "--out", str(tmp_path / "report.json"),
+        ]
+    )
+    assert code == 1
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert "SpecInvalid" in err and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
