@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OffCircle
-from .ratfun import PoleSet, RationalFunction, pointwise, pole_guard, rat_derivative_eval, rat_eval
+from .ratfun import PoleSet, RationalFunction, _pole_sums, pointwise, pole_guard
 
 # How far |z| may sit from 1 before circle-only formulas are refused.
 UNIT_CIRCLE_TOL = 1e-12
@@ -99,5 +99,5 @@ def star_transform_deriv_modulus(r: RationalFunction, zs):
     which avoids differentiating the conjugated argument numerically.
     """
     _check_on_unit_circle(zs)
-    bprime = blaschke_deriv_modulus_on_T1(BlaschkeProduct(r.poles), zs)
-    return np.abs(bprime * rat_eval(r, zs) - zs * rat_derivative_eval(r, zs))
+    rv, deriv, bprime = _pole_sums(r, zs)
+    return np.abs(bprime * rv - zs * deriv)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, blaschke_deriv_modulus_on_T1
-from .circlescan import CircleGrid, min_modulus_on_circle, sup_modulus_on_circle
+from .blaschke import _check_on_unit_circle
+from .circlescan import CircleGrid, _scan, min_modulus_on_circle
 from .errors import DegenerateBound, HypothesisViolated, ParameterOutOfRange
 from .ratfun import (
     MODE_INSIDE,
@@ -26,9 +26,8 @@ from .ratfun import (
     Polynomial,
     RationalFunction,
     ZeroLocation,
+    _pole_sums,
     classify_zeros,
-    rat_derivative_eval,
-    rat_eval,
 )
 
 # A margin below -MARGIN_TOL * max(1, ||r||) counts as a violation.
@@ -178,6 +177,11 @@ def rhs_value(theorem: TheoremId, bprime, r_abs, ctx: BoundContext):
     be arrays; the result broadcasts.  No hypothesis checking happens
     here, which is what lets tests compare bounds on one shared context.
     """
+    if np.isscalar(bprime) and np.isscalar(r_abs):
+        # One-element arrays take the array arithmetic, so a point agrees
+        # bit for bit with its row of a sweep.
+        out = rhs_value(theorem, np.array([bprime], dtype=np.float64), np.array([r_abs], dtype=np.float64), ctx)
+        return float(out[0])
     prof = _PROFILES[theorem]
     bp = np.asarray(bprime, dtype=np.float64)
     ra = np.asarray(r_abs, dtype=np.float64)
@@ -192,22 +196,37 @@ def rhs_value(theorem: TheoremId, bprime, r_abs, ctx: BoundContext):
         out = 0.5 * (bp - drop) * gap
     else:
         out = 0.5 * (bp + (2.0 * t - n * (1.0 + k)) / (1.0 + k)) * (ra + m)
-    if np.isscalar(bprime) and np.isscalar(r_abs):
-        return float(out)
     return out
 
 
 def build_context(theorem: TheoremId, r: RationalFunction, k: float, grid_count: int) -> BoundContext:
     """Compute norm and, where the bound uses it, the minimum modulus on |z| = k."""
+    return _unit_pass(theorem, r, k, grid_count)[0]
+
+
+def _unit_pass(theorem: TheoremId, r: RationalFunction, k: float, grid_count: int) -> tuple:
+    """Context, and |r|, r' and |B'| on the unit grid from one pass over the poles.
+
+    The norm scan takes its grid moduli from that pass.  The min scan runs
+    first, so its pole-by-point temporary never coexists with the
+    unit-grid arrays.
+    """
     prof = _PROFILES[theorem]
-    norm = sup_modulus_on_circle(r, 1.0, CircleGrid(1.0, grid_count)).value
     m, m_circle = 0.0, None
     if prof.uses_m:
         m_circle = _pinned_k(prof, k)
         m = min_modulus_on_circle(r, m_circle, CircleGrid(m_circle, grid_count)).value
+    sums = []
+
+    def unit_moduli(zs):
+        rv, deriv, bprime = _pole_sums(r, zs)
+        sums.extend((np.abs(rv), deriv, bprime))
+        return sums[0]
+
+    norm = _scan(r, 1.0, CircleGrid(1.0, grid_count), True, unit_moduli).value
     ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=k, m_circle=m_circle)
     _degenerate_guard(theorem, ctx)
-    return ctx
+    return (ctx, *sums)
 
 
 def _degenerate_guard(theorem: TheoremId, ctx: BoundContext):
@@ -215,13 +234,20 @@ def _degenerate_guard(theorem: TheoremId, ctx: BoundContext):
         raise DegenerateBound(f"norm {ctx.norm!r} and min modulus {ctx.m!r} coincide within {DEGENERATE_GAP}")
 
 
-def _margins(theorem: TheoremId, r: RationalFunction, ctx: BoundContext, zs):
-    """|r'|, RHS and margin at the unit-circle points zs (a scalar or an array)."""
-    deriv_abs = np.abs(rat_derivative_eval(r, zs))
-    bp = blaschke_deriv_modulus_on_T1(BlaschkeProduct(r.poles), zs)
-    rhs = rhs_value(theorem, bp, np.abs(rat_eval(r, zs)), ctx)
+def _margins(theorem: TheoremId, ctx: BoundContext, r_abs, deriv, bprime):
+    """|r'|, RHS and margin from |r|, r' and |B'| at unit-circle points."""
+    deriv_abs = np.abs(deriv)
+    rhs = rhs_value(theorem, bprime, r_abs, ctx)
     margin = rhs - deriv_abs if _PROFILES[theorem].direction == "upper" else deriv_abs - rhs
     return deriv_abs, rhs, margin
+
+
+def _point_margins(theorem: TheoremId, r: RationalFunction, ctx: BoundContext, z) -> tuple:
+    """|r'|, RHS and margin at one point of the unit circle, as a sweep computes them."""
+    zs = np.array([complex(z)])
+    rv, deriv, bprime = _pole_sums(r, zs)
+    _check_on_unit_circle(zs)
+    return tuple(float(x[0]) for x in _margins(theorem, ctx, np.abs(rv), deriv, bprime))
 
 
 def bound_rhs(theorem: TheoremId, ctx: BoundContext, r: RationalFunction, z) -> float:
@@ -230,7 +256,7 @@ def bound_rhs(theorem: TheoremId, ctx: BoundContext, r: RationalFunction, z) -> 
         raise ValueError(f"context (t={ctx.t}, n={ctx.n}) disagrees with instance (t={r.t}, n={r.n})")
     check_hypothesis(theorem, r, ctx.k)
     _degenerate_guard(theorem, ctx)
-    return float(_margins(theorem, r, ctx, complex(z))[1])
+    return _point_margins(theorem, r, ctx, z)[1]
 
 
 @dataclass(frozen=True)
@@ -254,9 +280,9 @@ class BoundVerdict:
 def _sweep(theorem: TheoremId, r: RationalFunction, grid: CircleGrid):
     """Context, unit-circle angles, |r'|, RHS and margins of one grid sweep."""
     check_hypothesis(theorem, r, grid.k)
-    ctx = build_context(theorem, r, grid.k, grid.count)
+    ctx, r_abs, deriv, bprime = _unit_pass(theorem, r, grid.k, grid.count)
     thetas = CircleGrid(1.0, grid.count).thetas()
-    return (ctx, thetas) + _margins(theorem, r, ctx, np.exp(1j * thetas))
+    return (ctx, thetas) + _margins(theorem, ctx, r_abs, deriv, bprime)
 
 
 def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundVerdict:
@@ -276,8 +302,9 @@ def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundV
         min_margin=float(margin[worst]),
         worst_theta=float(thetas[worst]),
         violations=int(np.sum(margin < -tol)),
-        # build_context refuses poles within 1e-9 of the unit circle, so no
-        # grid point comes within the 1e-12 pole cutoff and none is skipped.
+        # The norm scan refuses poles within 1e-9 of the unit circle before
+        # the grid pass, so no grid point comes within the 1e-12 pole cutoff
+        # and none is skipped.
         skipped_points=0,
     )
 
@@ -352,4 +379,4 @@ def sharpness_gap(theorem: TheoremId, r: RationalFunction, z, k: float = 1.0, gr
     """|RHS(z) - |r'(z)|| for one instance; small means the bound is tight."""
     ctx = build_context(theorem, r, float(k), grid_count)
     check_hypothesis(theorem, r, ctx.k)
-    return float(abs(_margins(theorem, r, ctx, complex(z))[2]))
+    return abs(_point_margins(theorem, r, ctx, z)[2])

@@ -91,14 +91,20 @@ def _pole_circle_guard(r: RationalFunction, k: float):
             raise PoleOnCircle(f"pole modulus within {gap:.3g} of the scan radius {k}")
 
 
-def _scan(r: RationalFunction, k: float, grid: CircleGrid | None, maximize: bool) -> CircleScanResult:
+def _scan(r: RationalFunction, k: float, grid: CircleGrid | None, maximize: bool, moduli=None) -> CircleScanResult:
+    """Extremum of |r| on |z| = k: pole guard, grid moduli, then refinement.
+
+    ``moduli`` maps the grid points to |r| there; by default it is
+    ``abs(rat_eval)``.  A caller that needs more than |r| on the grid passes
+    its own, so the grid is evaluated once, after the guard.
+    """
     if grid is None:
         grid = CircleGrid(k)
     elif grid.k != k:
         raise ValueError("grid radius disagrees with the requested circle")
     _pole_circle_guard(r, k)
     thetas = grid.thetas()
-    vals = np.abs(rat_eval(r, grid.points()))
+    vals = np.abs(rat_eval(r, grid.points())) if moduli is None else moduli(grid.points())
     best = int(np.argmax(vals) if maximize else np.argmin(vals))
     if not maximize and float(vals[best]) < ZERO_SNAP:
         return CircleScanResult(0.0, float(thetas[best]), grid.count, False)

@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .bounds import TheoremId, certify, hypothesis_zero_location, margin_curve, profile
 from .circlescan import DEFAULT_GRID_COUNT, CircleGrid
 from .errors import DegenerateBound, HypothesisViolated, ParseError, RatboundError
@@ -31,6 +33,10 @@ EXIT_HYPOTHESIS = 3
 EXIT_DEGENERATE = 4
 
 THEOREM_NAMES = [member.value for member in TheoremId]
+
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+# Rows formatted per write, so memory for the text does not grow with the grid.
+_CSV_BLOCK_ROWS = 512
 
 
 def _default_grid() -> int:
@@ -86,6 +92,26 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_out(path: str, chunks) -> bool:
+    """Write the text chunks to path; on failure say so in one line on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _csv_chunks(columns):
+    """The curves CSV as text blocks: the header, then _CSV_BLOCK_ROWS rows at a time."""
+    yield "theta,deriv_modulus,bound_rhs,margin\n"
+    table = np.column_stack(columns)
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        yield _CSV_ROW * len(block) % tuple(block.ravel().tolist())
+
+
 def cmd_certify(args) -> int:
     theorem, r, grid = _instance_args(args)
     verdict = certify(theorem, r, grid)
@@ -120,8 +146,8 @@ def cmd_campaign(args) -> int:
         p_boundary=p_boundary,
     )
     report = run_campaign(spec, theorem, grid)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    if not _write_out(args.out, [report.to_json()]):
+        return EXIT_USAGE
     print(
         f"{theorem.value}: {report.certified}/{report.instances} certified, "
         f"{report.violations} violations, {report.degenerate_count} degenerate -> {args.out}"
@@ -130,16 +156,10 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    thetas, deriv_abs, rhs, margin = margin_curve(*_instance_args(args))
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("theta,deriv_modulus,bound_rhs,margin\n")
-            for row in zip(thetas, deriv_abs, rhs, margin):
-                fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}")
+    columns = margin_curve(*_instance_args(args))
+    if not _write_out(args.out, _csv_chunks(columns)):
         return EXIT_USAGE
-    print(f"{len(thetas)} rows -> {args.out}")
+    print(f"{len(columns[0])} rows -> {args.out}")
     return EXIT_OK
 
 

@@ -331,16 +331,38 @@ def rat_eval(r: RationalFunction, zs):
     return _horner(r.numer.coeffs, zs) / _denominator(r, zs)
 
 
+def _pole_sums(r: RationalFunction, zs: np.ndarray) -> tuple:
+    """r(z), r'(z) and sum_j (|a_j|^2 - 1)/|z - a_j|^2 at the flat array zs.
+
+    One loop over the poles: for d = z - a_j, |d| feeds the NearPole check
+    and the last sum, which is |B'(z)| on |z| = 1, and 1/d feeds w'/w.
+    Every value is computed in the operation order of rat_eval and
+    blaschke_deriv_modulus_on_T1, so it equals theirs bit for bit.
+    """
+    den = np.ones(zs.shape, dtype=np.complex128)
+    logw = np.zeros(zs.shape, dtype=np.complex128)
+    bprime = np.zeros(zs.shape, dtype=np.float64)
+    for a in r.poles.poles:
+        d = zs - a
+        dist = np.abs(d)
+        nearest = float(dist.min(initial=np.inf))
+        if nearest < POLE_PROXIMITY_CUTOFF:
+            raise NearPole(f"evaluation point within {nearest:.3g} of a pole")
+        bprime += (abs(a) ** 2 - 1.0) / dist**2
+        logw += 1.0 / d
+        # Not den * d: as in _denominator, numpy writes this product into the
+        # temporary z - a_j once it reaches 256 KiB, which swaps the operands,
+        # and a complex product's last bit depends on their order.
+        den = den * (zs - a)
+    pv = _horner(r.numer.coeffs, zs)
+    dv = _horner(r.numer.derivative().coeffs, zs)
+    return pv / den, (dv - pv * logw) / den, bprime
+
+
 @pointwise
 def rat_derivative_eval(r: RationalFunction, zs):
     """Evaluate r'(z) by the quotient rule, r' = (p' - p * w'/w) / w."""
-    pole_guard(r.poles, zs)
-    pv = _horner(r.numer.coeffs, zs)
-    dv = _horner(r.numer.derivative().coeffs, zs)
-    logw = np.zeros(zs.shape, dtype=np.complex128)
-    for a in r.poles.poles:
-        logw += 1.0 / (zs - a)
-    return (dv - pv * logw) / _denominator(r, zs)
+    return _pole_sums(r, zs)[1]
 
 
 def classify_zeros(r: RationalFunction, where: ZeroLocation) -> bool:

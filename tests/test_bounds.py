@@ -157,6 +157,38 @@ def test_rhs_broadcasts():
     assert isinstance(rhs_value(TheoremId.LI_UPPER, 2.0, 0.5, ctx), float)
 
 
+def test_rhs_scalar_equals_array_element():
+    # A point evaluated alone must carry the bits of the same point inside a
+    # sweep's array; the upper formula's (|r| - m)^2 once squared a numpy
+    # scalar by pow() where the array squared by multiplication.
+    rng = CounterRng(7301)
+    for trial in range(15000):
+        sub = rng.split(trial)
+        n = 1 + sub.next_u64() % 24
+        t = sub.next_u64() % (n + 1)
+        norm = 0.5 + 4.0 * sub.next_float()
+        m = norm * 0.8 * sub.next_float()
+        ctx = BoundContext(norm=norm, m=m, t=int(t), n=int(n), k=0.3 + 2.0 * sub.next_float())
+        bp = 30.0 * np.array([sub.next_float() for _ in range(4)])
+        ra = norm * np.array([sub.next_float() for _ in range(4)])
+        for theorem in (TheoremId.MAIN_UPPER, TheoremId.MAIN_LOWER):
+            row = rhs_value(theorem, bp, ra, ctx)
+            for i in range(4):
+                assert rhs_value(theorem, float(bp[i]), float(ra[i]), ctx) == row[i], (trial, theorem, i)
+
+
+def test_point_functions_match_sweep_rows():
+    spec = GeneratorSpec(n=4, t=3, zero_region=ZeroLocation.all_outside_or_on(1.5), seed=7302, count=6)
+    grid = CircleGrid(1.5, 1024)
+    zs = CircleGrid(1.0, 1024).points()
+    for r in generate(spec):
+        ctx = certify(TheoremId.MAIN_UPPER, r, grid).context
+        _, _, rhs, margin = margin_curve(TheoremId.MAIN_UPPER, r, grid)
+        for i in range(0, 1024, 97):
+            assert bound_rhs(TheoremId.MAIN_UPPER, ctx, r, zs[i]) == rhs[i]
+            assert sharpness_gap(TheoremId.MAIN_UPPER, r, zs[i], k=1.5) == abs(margin[i])
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         BoundContext(norm=0.0, m=0.0, t=0, n=1, k=1.0)

@@ -14,6 +14,7 @@ from ratbound import (
     generate,
     instance_to_dict,
     make_extremal,
+    margin_curve,
 )
 from ratbound.cli import main
 
@@ -215,6 +216,24 @@ def test_curves_bytes_stable(tmp_path, extremal_file):
     assert one.read_bytes() == two.read_bytes()
 
 
+def test_curves_bytes_match_per_value_format(tmp_path, extremal_file):
+    out = tmp_path / "curve.csv"
+    assert main(["curves", extremal_file, "main-upper", str(out), "--grid", "1024"]) == 0
+    r, _ = make_extremal(TheoremId.MAIN_UPPER, 3.0, 1.0, 2, 2)
+    columns = margin_curve(TheoremId.MAIN_UPPER, r, CircleGrid(1.0, 1024))
+    rows = (",".join(f"{float(x):.17g}" for x in row) + "\n" for row in zip(*columns))
+    expected = "theta,deriv_modulus,bound_rhs,margin\n" + "".join(rows)
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_curves_unwritable_out_exits_one(tmp_path, extremal_file, capsys):
+    out = tmp_path / "missing-dir" / "curve.csv"
+    assert main(["curves", extremal_file, "main-upper", str(out), "--grid", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write" in captured.err and len(captured.err.splitlines()) == 1
+
+
 def test_curves_hypothesis_exit(tmp_path, capsys):
     import numpy as np
 
@@ -256,6 +275,15 @@ def test_campaign_writes_stable_report(tmp_path, capsys):
     assert payload["instances"] == 20
     out = capsys.readouterr().out
     assert "20/20 certified" in out
+
+
+def test_campaign_unwritable_out_exits_one(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "report.json"
+    argv = ["campaign", "--theorem", "main-upper", "--n", "2", "--count", "3", "--grid", "256", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write" in captured.err and len(captured.err.splitlines()) == 1
 
 
 def test_campaign_boundary_zero_theorem_auto_pins(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ratbound import (
+    BlaschkeProduct,
     CounterRng,
     NearPole,
     NonConvergence,
@@ -12,12 +13,14 @@ from ratbound import (
     RationalFunction,
     Reducible,
     ZeroLocation,
+    blaschke_deriv_modulus_on_T1,
     classify_zeros,
     poly_eval,
     poly_roots,
     rat_derivative_eval,
     rat_eval,
 )
+from ratbound.ratfun import _pole_sums
 
 
 def unit_point(theta: float) -> complex:
@@ -208,6 +211,55 @@ def test_rat_eval_near_pole_rejected():
         rat_eval(r, 2.0 + 1e-13)
     with pytest.raises(NearPole):
         rat_derivative_eval(r, 2.0 + 1e-13)
+
+
+def quotient_rule_reference(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
+    """r'(z) = (p' - p w'/w) / w with w'/w and w each formed in a loop of their own."""
+    pv = poly_eval(r.numer, zs)
+    dv = poly_eval(r.numer.derivative(), zs)
+    logw = np.zeros(zs.shape, dtype=np.complex128)
+    for a in r.poles.poles:
+        logw += 1.0 / (zs - a)
+    den = np.ones(zs.shape, dtype=np.complex128)
+    for a in r.poles.poles:
+        den = den * (zs - a)
+    return (dv - pv * logw) / den
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 24])
+def test_pole_sums_match_separate_evaluations_bit_for_bit(n):
+    # 16384 points is the first size at which numpy reuses the temporary
+    # z - a_j of the denominator product as its output, which swaps the
+    # operands of a complex product whose bits depend on their order.
+    rng = CounterRng(9100 + n)
+    for trial in range(3):
+        sub = rng.split(trial)
+        poles = PoleSet([(1.1 + 1.9 * sub.next_float()) * unit_point(2 * np.pi * sub.next_float()) for _ in range(n)])
+        t = sub.next_u64() % (n + 1)
+        zeros = [2.0 * sub.next_float() * unit_point(2 * np.pi * sub.next_float()) for _ in range(t)]
+        r = RationalFunction.from_zeros(zeros, poles, 0.5 + sub.next_float())
+        b = BlaschkeProduct(poles)
+        for count in (1, 7, 1024, 16383, 16384):
+            if count <= 7:
+                zs = np.array([unit_point(2 * np.pi * sub.next_float()) for _ in range(count)])
+            else:
+                zs = np.exp(2j * np.pi * np.arange(count) / count)
+            rv, deriv, bprime = _pole_sums(r, zs)
+            assert np.array_equal(rv, rat_eval(r, zs)), (n, count)
+            assert np.array_equal(deriv, quotient_rule_reference(r, zs)), (n, count)
+            assert np.array_equal(bprime, blaschke_deriv_modulus_on_T1(b, zs)), (n, count)
+            assert np.array_equal(deriv, rat_derivative_eval(r, zs))
+            if count == 1:
+                assert rv[0] == rat_eval(r, complex(zs[0]))
+                assert bprime[0] == blaschke_deriv_modulus_on_T1(b, complex(zs[0]))
+
+
+def test_pole_sums_near_pole_rejected():
+    r = RationalFunction.from_zeros([0.5], PoleSet([2.0, -3.0j]))
+    with pytest.raises(NearPole):
+        _pole_sums(r, np.array([2.0 + 1e-13]))
+    with pytest.raises(NearPole):
+        _pole_sums(r, np.array([0.3, 1.0, -3.0j + 1e-13j]))
 
 
 def test_rational_function_rejects_degree_overflow():
