@@ -145,6 +145,10 @@ def cmd_campaign(args) -> int:
         pole_annulus=(args.pole_min, args.pole_max),
         p_boundary=p_boundary,
     )
+    # Fail before the campaign, not after it; _write_out still catches the rest.
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise ParseError(f"cannot write {args.out}: {out_dir} is not a directory")
     report = run_campaign(spec, theorem, grid)
     if not _write_out(args.out, [report.to_json()]):
         return EXIT_USAGE

@@ -307,19 +307,31 @@ class RationalFunction:
         return rat_derivative_eval(self, z)
 
 
-def pole_guard(poles: PoleSet, zs: np.ndarray):
-    """Raise NearPole if any point of zs lies within POLE_PROXIMITY_CUTOFF of a pole."""
-    if not poles.n:
-        return
-    dist = np.abs(zs[..., None] - poles.as_array())
-    nearest = float(dist.min()) if dist.size else np.inf
+def _check_distance(dist: np.ndarray):
+    """Raise NearPole if any distance to a pole is below POLE_PROXIMITY_CUTOFF."""
+    nearest = float(dist.min(initial=np.inf))
     if nearest < POLE_PROXIMITY_CUTOFF:
         raise NearPole(f"evaluation point within {nearest:.3g} of a pole")
 
 
+def pole_guard(poles: PoleSet, zs: np.ndarray):
+    """Raise NearPole if any point of zs lies within POLE_PROXIMITY_CUTOFF of a pole."""
+    if poles.n:
+        _check_distance(np.abs(zs[..., None] - poles.as_array()))
+
+
 def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
+    """w(z) = prod_j (z - a_j) at the flat array zs, with the NearPole check pole by pole.
+
+    Checking one pole at a time keeps the temporaries at the size of zs,
+    where pole_guard's broadcast builds an n-by-len(zs) array.
+    """
     den = np.ones(zs.shape, dtype=np.complex128)
     for a in r.poles.poles:
+        _check_distance(np.abs(zs - a))
+        # Not den * d for a named d = zs - a: from 256 KiB on, numpy writes
+        # this product into the temporary z - a_j, which swaps the operands,
+        # and a complex product's last bit depends on their order.
         den = den * (zs - a)
     return den
 
@@ -327,7 +339,6 @@ def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
 @pointwise
 def rat_eval(r: RationalFunction, zs):
     """Evaluate r(z); the denominator is kept in factored form."""
-    pole_guard(r.poles, zs)
     return _horner(r.numer.coeffs, zs) / _denominator(r, zs)
 
 
@@ -345,14 +356,10 @@ def _pole_sums(r: RationalFunction, zs: np.ndarray) -> tuple:
     for a in r.poles.poles:
         d = zs - a
         dist = np.abs(d)
-        nearest = float(dist.min(initial=np.inf))
-        if nearest < POLE_PROXIMITY_CUTOFF:
-            raise NearPole(f"evaluation point within {nearest:.3g} of a pole")
+        _check_distance(dist)
         bprime += (abs(a) ** 2 - 1.0) / dist**2
         logw += 1.0 / d
-        # Not den * d: as in _denominator, numpy writes this product into the
-        # temporary z - a_j once it reaches 256 KiB, which swaps the operands,
-        # and a complex product's last bit depends on their order.
+        # Not den * d: the expression of _denominator, so r matches rat_eval.
         den = den * (zs - a)
     pv = _horner(r.numer.coeffs, zs)
     dv = _horner(r.numer.derivative().coeffs, zs)

@@ -1,8 +1,11 @@
 """Circle extrema, winding counts, and the log-derivative facts they certify."""
 
+import math
+
 import numpy as np
 import pytest
 
+from ratbound import circlescan
 from ratbound import (
     BlaschkeProduct,
     CircleGrid,
@@ -165,6 +168,111 @@ def test_scan_determinism():
     second = sup_modulus_on_circle(r, 1.0)
     assert first.value == second.value
     assert first.arg_at == second.arg_at
+
+
+def golden_reference(fun, lo, hi, maximize):
+    """The scalar golden-section search the scans used before; returns (theta, value)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    sign = -1.0 if maximize else 1.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = sign * fun(c)
+    fd = sign * fun(d)
+    best_t, best_f = (c, fc) if fc <= fd else (d, fd)
+    while b - a > circlescan.REFINE_THETA_TOL:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = sign * fun(c)
+            if fc < best_f:
+                best_t, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = sign * fun(d)
+            if fd < best_f:
+                best_t, best_f = d, fd
+    return best_t, sign * best_f
+
+
+def golden_scan_reference(r, k, count, maximize):
+    """Extremum of |r| on |z| = k: the grid, then golden_reference, never worse than the grid."""
+    grid = CircleGrid(k, count)
+    vals = np.abs(rat_eval(r, grid.points()))
+    best = int(np.argmax(vals) if maximize else np.argmin(vals))
+    if not maximize and vals[best] < circlescan.ZERO_SNAP:
+        return 0.0
+    theta = float(grid.thetas()[best])
+    step = 2.0 * np.pi / count
+
+    def modulus(th):
+        return float(abs(rat_eval(r, k * complex(math.cos(th), math.sin(th)))))
+
+    _, val = golden_reference(modulus, theta - step, theta + step, maximize)
+    if (maximize and val < vals[best]) or (not maximize and val > vals[best]):
+        val = float(vals[best])
+    if not maximize and val < circlescan.ZERO_SNAP:
+        return 0.0
+    return val
+
+
+def instance_of_degree(sub: CounterRng, n: int, k: float) -> RationalFunction:
+    """n poles with moduli in [1.1, 3] kept 0.05 off the circle |z| = k, and t <= n zeros."""
+    poles = []
+    while len(poles) < n:
+        rad = sub.next_radius(1.1, 3.0)
+        if abs(rad - k) > 0.05:
+            poles.append(rad * np.exp(1j * sub.next_angle()))
+    t = sub.next_u64() % (n + 1)
+    zeros = [2.0 * np.sqrt(sub.next_float()) * np.exp(1j * sub.next_angle()) for _ in range(t)]
+    return RationalFunction.from_zeros(zeros, PoleSet(poles), 0.5 + sub.next_float())
+
+
+def assert_no_worse_than_golden(r, k, count):
+    sup = sup_modulus_on_circle(r, k, CircleGrid(k, count)).value
+    ref = golden_scan_reference(r, k, count, True)
+    assert sup >= ref - 1e-14 * max(1.0, ref), (k, count, sup, ref)
+    low = min_modulus_on_circle(r, k, CircleGrid(k, count)).value
+    ref = golden_scan_reference(r, k, count, False)
+    assert low <= ref + 1e-14 * max(1.0, ref), (k, count, low, ref)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 24])
+def test_refinement_no_worse_than_golden_section(n):
+    rng = CounterRng(3310 + n)
+    for trial in range(3):
+        for k in (0.7, 1.0, 1.5):
+            r = instance_of_degree(rng.split(trial), n, k)
+            for count in (1024, 4096):
+                assert_no_worse_than_golden(r, k, count)
+
+
+def test_refinement_sharp_peak_next_to_pole():
+    # A pole 0.04 and 0.03 off the scanned circle makes |r| peak sharply there.
+    for k, pole in ((1.0, 1.04 * np.exp(0.3j)), (1.5, 1.53 * np.exp(-2.1j))):
+        r = RationalFunction.from_zeros([0.4 - 0.2j], PoleSet([pole, 2.5j]))
+        for count in (1024, 4096):
+            assert_no_worse_than_golden(r, k, count)
+
+
+def test_refinement_call_budget(monkeypatch):
+    # The grid plus one array evaluation per refinement step; a scalar loop
+    # would need dozens.  Grid 64 gives the widest starting bracket.
+    calls = []
+
+    def counted(r, z):
+        calls.append(np.size(z))
+        return rat_eval(r, z)
+
+    monkeypatch.setattr(circlescan, "rat_eval", counted)
+    r = instance_of_degree(CounterRng(3320), 6, 1.0)
+    for count in (64, 1024, 65536):
+        for scan in (sup_modulus_on_circle, min_modulus_on_circle):
+            calls.clear()
+            res = scan(r, 1.0, CircleGrid(1.0, count))
+            assert res.refined
+            assert len(calls) <= 10, (scan.__name__, count, calls)
 
 
 # ---------------------------------------------------------------------------

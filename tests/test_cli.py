@@ -286,6 +286,19 @@ def test_campaign_unwritable_out_exits_one(tmp_path, capsys):
     assert "cannot write" in captured.err and len(captured.err.splitlines()) == 1
 
 
+def test_campaign_missing_out_dir_fails_before_running(tmp_path, monkeypatch, capsys):
+    def no_campaign(*args):
+        raise AssertionError("the campaign ran although --out cannot be written")
+
+    monkeypatch.setattr("ratbound.cli.run_campaign", no_campaign)
+    out = tmp_path / "missing" / "r.json"
+    argv = ["campaign", "--theorem", "main-upper", "--n", "2", "--count", "3", "--grid", "256", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write" in captured.err and len(captured.err.splitlines()) == 1
+
+
 def test_campaign_boundary_zero_theorem_auto_pins(tmp_path):
     out = tmp_path / "report.json"
     argv = [

@@ -211,6 +211,14 @@ def test_rat_eval_near_pole_rejected():
         rat_eval(r, 2.0 + 1e-13)
     with pytest.raises(NearPole):
         rat_derivative_eval(r, 2.0 + 1e-13)
+    # The check runs pole by pole: one point of a large grid, next to the last pole.
+    r = RationalFunction.from_zeros([0.5], PoleSet([2.0, 1.5j, -1.2 - 0.3j]))
+    zs = np.exp(2j * np.pi * np.arange(65536) / 65536)
+    zs[40000] = -1.2 - 0.3j + 1e-13
+    with pytest.raises(NearPole):
+        rat_eval(r, zs)
+    with pytest.raises(NearPole):
+        rat_eval(r, complex(zs[40000]))
 
 
 def quotient_rule_reference(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
