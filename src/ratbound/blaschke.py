@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OffCircle
-from .ratfun import PoleSet, RationalFunction, _pole_sums, pointwise, pole_guard
+from .ratfun import PoleSet, RationalFunction, _check_distance, _pole_sums, pointwise
 
 # How far |z| may sit from 1 before circle-only formulas are refused.
 UNIT_CIRCLE_TOL = 1e-12
@@ -68,11 +68,17 @@ class BlaschkeProduct:
 
 @pointwise
 def blaschke_eval(b: BlaschkeProduct, zs):
-    """Evaluate the product factor by factor; no expansion is formed."""
-    pole_guard(b.poles, zs)
+    """Evaluate the product factor by factor; no expansion is formed.
+
+    Both factors are named, as in ratfun._denominator, so that numpy
+    cannot write a product into a factor's temporary with swapped operands.
+    """
     acc = np.ones(zs.shape, dtype=np.complex128)
     for a in b.poles.poles:
-        acc = acc * (1.0 - np.conj(a) * zs) / (zs - a)
+        d = zs - a
+        _check_distance(np.abs(d))
+        num = 1.0 - np.conj(a) * zs
+        acc = acc * num / d
     return acc
 
 

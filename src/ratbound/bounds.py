@@ -20,8 +20,6 @@ from .blaschke import _check_on_unit_circle
 from .circlescan import CircleGrid, _scan, min_modulus_on_circle
 from .errors import DegenerateBound, HypothesisViolated, ParameterOutOfRange
 from .ratfun import (
-    MODE_INSIDE,
-    MODE_OUTSIDE,
     PoleSet,
     Polynomial,
     RationalFunction,
@@ -61,48 +59,39 @@ class TheoremId(enum.Enum):
         raise KeyError(f"unknown theorem name {name!r}")
 
 
-# How the radius argument is constrained per inequality.
-K_FIXED_ONE = "fixed-one"
-K_AT_LEAST_ONE = "at-least-one"
-K_AT_MOST_ONE = "at-most-one"
-
-
 @dataclass(frozen=True)
 class HypothesisProfile:
-    """Zero-location and parameter requirements of one inequality.
+    """The formula of one inequality, its pins and its extra hypotheses.
 
     Every inequality is the general upper or lower formula with some
-    ingredients pinned: m -> 0 unless ``uses_m``, k -> 1 when the radius
-    rule is K_FIXED_ONE, and t -> n when ``t_is_n``.
+    ingredients pinned: m -> 0 unless ``uses_m``, k -> 1 when ``k_is_one``
+    and t -> n when ``t_is_n``.  The direction fixes the rest: an upper
+    bound needs every zero in |z| >= k with k >= 1, a lower bound every
+    zero in |z| <= k with 0 < k <= 1, and ``k_is_one`` admits only k = 1.
     """
 
     direction: str
-    zero_mode: str
-    k_rule: str
-    needs_all_zeros: bool = False
-    needs_boundary_zero: bool = False
+    k_is_one: bool = False
     uses_m: bool = False
     t_is_n: bool = False
+    needs_all_zeros: bool = False
+    needs_boundary_zero: bool = False
 
 
 _PROFILES = {
-    TheoremId.LI_UPPER: HypothesisProfile("upper", MODE_OUTSIDE, K_FIXED_ONE, t_is_n=True),
-    TheoremId.LI_LOWER: HypothesisProfile("lower", MODE_INSIDE, K_FIXED_ONE),
-    TheoremId.AZIZ_SHAH_UPPER_97: HypothesisProfile("upper", MODE_OUTSIDE, K_FIXED_ONE, uses_m=True, t_is_n=True),
+    TheoremId.LI_UPPER: HypothesisProfile("upper", k_is_one=True, t_is_n=True),
+    TheoremId.LI_LOWER: HypothesisProfile("lower", k_is_one=True),
+    TheoremId.AZIZ_SHAH_UPPER_97: HypothesisProfile("upper", k_is_one=True, uses_m=True, t_is_n=True),
     TheoremId.AZIZ_SHAH_LOWER_97: HypothesisProfile(
-        "lower", MODE_INSIDE, K_FIXED_ONE, needs_all_zeros=True, uses_m=True, t_is_n=True
+        "lower", k_is_one=True, uses_m=True, t_is_n=True, needs_all_zeros=True
     ),
-    TheoremId.AZIZ_ZARGER_99: HypothesisProfile("upper", MODE_OUTSIDE, K_AT_LEAST_ONE, t_is_n=True),
-    TheoremId.AZIZ_SHAH_04: HypothesisProfile("lower", MODE_INSIDE, K_AT_MOST_ONE),
-    TheoremId.AZIZ_SHAH_04_COR: HypothesisProfile(
-        "lower", MODE_INSIDE, K_AT_MOST_ONE, needs_all_zeros=True, t_is_n=True
-    ),
-    TheoremId.MAIN_UPPER: HypothesisProfile("upper", MODE_OUTSIDE, K_AT_LEAST_ONE, uses_m=True),
-    TheoremId.MAIN_UPPER_COR: HypothesisProfile("upper", MODE_OUTSIDE, K_AT_LEAST_ONE, needs_boundary_zero=True),
-    TheoremId.MAIN_LOWER: HypothesisProfile("lower", MODE_INSIDE, K_AT_MOST_ONE, uses_m=True),
-    TheoremId.MAIN_LOWER_COR: HypothesisProfile(
-        "lower", MODE_INSIDE, K_AT_MOST_ONE, needs_all_zeros=True, uses_m=True, t_is_n=True
-    ),
+    TheoremId.AZIZ_ZARGER_99: HypothesisProfile("upper", t_is_n=True),
+    TheoremId.AZIZ_SHAH_04: HypothesisProfile("lower"),
+    TheoremId.AZIZ_SHAH_04_COR: HypothesisProfile("lower", t_is_n=True, needs_all_zeros=True),
+    TheoremId.MAIN_UPPER: HypothesisProfile("upper", uses_m=True),
+    TheoremId.MAIN_UPPER_COR: HypothesisProfile("upper", needs_boundary_zero=True),
+    TheoremId.MAIN_LOWER: HypothesisProfile("lower", uses_m=True),
+    TheoremId.MAIN_LOWER_COR: HypothesisProfile("lower", uses_m=True, t_is_n=True, needs_all_zeros=True),
 }
 
 
@@ -111,18 +100,15 @@ def profile(theorem: TheoremId) -> HypothesisProfile:
 
 
 def hypothesis_zero_location(theorem: TheoremId, k: float) -> ZeroLocation:
-    prof = _PROFILES[theorem]
-    if prof.zero_mode == MODE_OUTSIDE:
+    if _PROFILES[theorem].direction == "upper":
         return ZeroLocation.all_outside_or_on(k)
     return ZeroLocation.all_inside_or_on(k)
 
 
 def _radius_ok(prof: HypothesisProfile, k: float) -> bool:
-    if prof.k_rule == K_FIXED_ONE:
+    if prof.k_is_one:
         return k == 1.0
-    if prof.k_rule == K_AT_LEAST_ONE:
-        return k >= 1.0
-    return 0.0 < k <= 1.0
+    return k >= 1.0 if prof.direction == "upper" else 0.0 < k <= 1.0
 
 
 def check_hypothesis(theorem: TheoremId, r: RationalFunction, k: float):
@@ -133,7 +119,7 @@ def check_hypothesis(theorem: TheoremId, r: RationalFunction, k: float):
     if prof.needs_all_zeros and r.t != r.n:
         raise HypothesisViolated(f"{theorem.value} needs exactly n={r.n} zeros, instance has t={r.t}")
     if not classify_zeros(r, hypothesis_zero_location(theorem, k)):
-        side = "outside" if prof.zero_mode == MODE_OUTSIDE else "inside"
+        side = "outside" if prof.direction == "upper" else "inside"
         raise HypothesisViolated(f"{theorem.value} needs every zero {side} or on |z|={k}")
     if prof.needs_boundary_zero:
         moduli = np.abs(r.zeros())
@@ -150,7 +136,6 @@ class BoundContext:
     t: int
     n: int
     k: float
-    m_circle: float | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.norm) and self.norm > 0):
@@ -164,7 +149,7 @@ class BoundContext:
 
 
 def _pinned_k(prof: HypothesisProfile, k: float) -> float:
-    return 1.0 if prof.k_rule == K_FIXED_ONE else k
+    return 1.0 if prof.k_is_one else k
 
 
 def rhs_value(theorem: TheoremId, bprime, r_abs, ctx: BoundContext):
@@ -207,15 +192,13 @@ def build_context(theorem: TheoremId, r: RationalFunction, k: float, grid_count:
 def _unit_pass(theorem: TheoremId, r: RationalFunction, k: float, grid_count: int) -> tuple:
     """Context, and |r|, r' and |B'| on the unit grid from one pass over the poles.
 
-    The norm scan takes its grid moduli from that pass.  The min scan runs
-    first, so its pole-by-point temporary never coexists with the
-    unit-grid arrays.
+    The norm scan takes its grid moduli from that pass.
     """
     prof = _PROFILES[theorem]
-    m, m_circle = 0.0, None
+    m = 0.0
     if prof.uses_m:
-        m_circle = _pinned_k(prof, k)
-        m = min_modulus_on_circle(r, m_circle, CircleGrid(m_circle, grid_count)).value
+        m_k = _pinned_k(prof, k)
+        m = min_modulus_on_circle(r, m_k, CircleGrid(m_k, grid_count)).value
     sums = []
 
     def unit_moduli(zs):
@@ -224,13 +207,17 @@ def _unit_pass(theorem: TheoremId, r: RationalFunction, k: float, grid_count: in
         return sums[0]
 
     norm = _scan(r, 1.0, CircleGrid(1.0, grid_count), True, unit_moduli).value
-    ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=k, m_circle=m_circle)
+    ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=k)
     _degenerate_guard(theorem, ctx)
     return (ctx, *sums)
 
 
 def _degenerate_guard(theorem: TheoremId, ctx: BoundContext):
-    if theorem is TheoremId.MAIN_UPPER and ctx.norm - ctx.m <= DEGENERATE_GAP:
+    prof = _PROFILES[theorem]
+    # Only an upper formula that keeps m and the (||r|| - m)^2 divisor can
+    # divide by zero; k -> 1 with t -> n drops the divided term.
+    keeps_divisor = prof.direction == "upper" and prof.uses_m and not (prof.k_is_one and prof.t_is_n)
+    if keeps_divisor and ctx.norm - ctx.m <= DEGENERATE_GAP:
         raise DegenerateBound(f"norm {ctx.norm!r} and min modulus {ctx.m!r} coincide within {DEGENERATE_GAP}")
 
 
@@ -270,11 +257,10 @@ class BoundVerdict:
     worst_theta: float
     violations: int
     skipped_points: int
-    degenerate: str | None = None
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0 and self.degenerate is None
+        return self.violations == 0
 
 
 def _sweep(theorem: TheoremId, r: RationalFunction, grid: CircleGrid):
@@ -318,12 +304,8 @@ def blaschke_offset_family(poles: PoleSet, h: float, alpha: float = 0.0) -> Rati
     """The equality family B(z) + h e^(i alpha) as a rational function."""
     if not (np.isfinite(h) and h >= 0):
         raise ParameterOutOfRange("offset magnitude h must be a nonnegative real")
-    coeffs = np.array([1.0], dtype=np.complex128)
-    for a in poles.poles:
-        grown = np.zeros(coeffs.size + 1, dtype=np.complex128)
-        grown[:-1] += coeffs
-        grown[1:] -= np.conj(a) * coeffs
-        coeffs = grown
+    # prod_j (1 - conj(a_j) z) is prod_j (z - conj(a_j)) with its coefficients reversed.
+    coeffs = Polynomial.from_roots(np.conj(poles.as_array())).coeffs[::-1]
     wpoly = Polynomial.from_roots(poles.as_array(), 1.0)
     total = np.zeros(max(coeffs.size, wpoly.coeffs.size), dtype=np.complex128)
     total[: coeffs.size] += coeffs
@@ -349,13 +331,12 @@ def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
         raise ParameterOutOfRange("need an integer pole count n >= 1")
     if not (isinstance(t, (int, np.integer)) and 0 <= t <= n):
         raise ParameterOutOfRange("need an integer zero count 0 <= t <= n")
-    if prof.needs_all_zeros and t != n:
-        raise ParameterOutOfRange(f"{theorem.value} needs t == n")
-    if theorem is TheoremId.AZIZ_ZARGER_99 and t != n:
-        # This bound admits t < n, but its tight family is the n-fold one.
-        raise ParameterOutOfRange("the equality family here has exactly n zeros")
+    if t != n and (prof.needs_all_zeros or prof.t_is_n or prof.k_is_one):
+        # A t -> n formula may admit t < n, but it is tight only at t = n,
+        # and the offset family B + h always has n zeros.
+        raise ParameterOutOfRange(f"the equality family of {theorem.value} has exactly n zeros")
     poles = PoleSet([complex(a, 0.0)] * int(n))
-    if prof.k_rule != K_FIXED_ONE:
+    if not prof.k_is_one:
         if not _radius_ok(prof, k):
             raise ParameterOutOfRange(f"{theorem.value} does not admit radius k={k}")
         if t < 1:
@@ -369,8 +350,6 @@ def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
             raise ParameterOutOfRange("offset magnitude below 1 breaks the zero hypothesis")
         if prof.direction == "lower" and k > 1.0:
             raise ParameterOutOfRange("offset magnitude above 1 breaks the zero hypothesis")
-        if t != n:
-            raise ParameterOutOfRange("the offset family always has exactly n zeros")
         r = blaschke_offset_family(poles, float(k), 0.0)
     return r, complex(1.0, 0.0)
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearZeroOfR, OffCircle, PoleOnCircle, ZeroOnContour
-from .ratfun import Polynomial, RationalFunction, rat_derivative_eval, rat_eval
+from .blaschke import _check_on_unit_circle
+from .errors import NearZeroOfR, PoleOnCircle, ZeroOnContour
+from .ratfun import Polynomial, RationalFunction, _pole_sums, rat_eval
 
 DEFAULT_GRID_COUNT = 1024
 ACCEPTANCE_GRID_COUNT = 4096
@@ -197,10 +198,10 @@ def count_zeros_in_disk(r: RationalFunction, k: float) -> int:
 
 def log_derivative_real_part(r: RationalFunction, z) -> float:
     """Re(z r'(z) / r(z)) for a point z on the unit circle."""
-    zc = complex(z)
-    if abs(abs(zc) - 1.0) > 1e-12:
-        raise OffCircle(f"|z| = {abs(zc)!r} is not on the unit circle")
-    rv = rat_eval(r, zc)
+    zs = np.array([complex(z)])
+    _check_on_unit_circle(zs)
+    rv, deriv, _ = _pole_sums(r, zs)
+    zc, rv, deriv = zs.item(), rv.item(), deriv.item()
     if abs(rv) <= 1e-10:
         raise NearZeroOfR(f"|r(z)| = {abs(rv):.3g} too small for a log derivative")
-    return float((zc * rat_derivative_eval(r, zc) / rv).real)
+    return float((zc * deriv / rv).real)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -148,26 +148,8 @@ class CampaignReport:
     worst_instance: dict | None
 
     def to_json(self) -> str:
-        payload = {
-            "theorem": self.theorem.value,
-            "spec": {
-                "n": self.spec.n,
-                "t": self.spec.t,
-                "zero_region": {"mode": self.spec.zero_region.mode, "k": self.spec.zero_region.k},
-                "seed": self.spec.seed,
-                "count": self.spec.count,
-                "pole_annulus": [self.spec.pole_annulus[0], self.spec.pole_annulus[1]],
-                "p_boundary": self.spec.p_boundary,
-            },
-            "grid": {"k": self.grid.k, "count": self.grid.count},
-            "instances": self.instances,
-            "certified": self.certified,
-            "violations": self.violations,
-            "degenerate_count": self.degenerate_count,
-            "skipped_points": self.skipped_points,
-            "min_margin": self.min_margin,
-            "worst_instance": self.worst_instance,
-        }
+        payload = asdict(self)
+        payload["theorem"] = self.theorem.value
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -47,7 +47,7 @@ def _finite_scalar(value, what: str) -> complex:
 class Polynomial:
     """Polynomial with complex coefficients, ascending powers."""
 
-    __slots__ = ("coeffs", "_roots", "_leading")
+    __slots__ = ("coeffs", "_roots")
 
     def __init__(self, coeffs):
         arr = _as_complex_array(coeffs, "coefficients")
@@ -60,7 +60,6 @@ class Polynomial:
         self.coeffs = arr[: last + 1].copy()
         self.coeffs.flags.writeable = False
         self._roots: np.ndarray | None = None
-        self._leading: complex | None = None
 
     @classmethod
     def from_roots(cls, roots, leading=1.0) -> "Polynomial":
@@ -79,7 +78,6 @@ class Polynomial:
         p = cls(coeffs)
         p._roots = bs.copy()
         p._roots.flags.writeable = False
-        p._leading = lead
         return p
 
     @property
@@ -314,25 +312,20 @@ def _check_distance(dist: np.ndarray):
         raise NearPole(f"evaluation point within {nearest:.3g} of a pole")
 
 
-def pole_guard(poles: PoleSet, zs: np.ndarray):
-    """Raise NearPole if any point of zs lies within POLE_PROXIMITY_CUTOFF of a pole."""
-    if poles.n:
-        _check_distance(np.abs(zs[..., None] - poles.as_array()))
-
-
 def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
     """w(z) = prod_j (z - a_j) at the flat array zs, with the NearPole check pole by pole.
 
-    Checking one pole at a time keeps the temporaries at the size of zs,
-    where pole_guard's broadcast builds an n-by-len(zs) array.
+    Each factor d = z - a_j is named, so numpy cannot write the product
+    into the temporary z - a_j with its operands swapped, and the product
+    is not formed in place, since numpy's in-place complex multiply may
+    take another SIMD loop.  Either would make a point of an array differ
+    in the last bit from the same point evaluated alone.
     """
     den = np.ones(zs.shape, dtype=np.complex128)
     for a in r.poles.poles:
-        _check_distance(np.abs(zs - a))
-        # Not den * d for a named d = zs - a: from 256 KiB on, numpy writes
-        # this product into the temporary z - a_j, which swaps the operands,
-        # and a complex product's last bit depends on their order.
-        den = den * (zs - a)
+        d = zs - a
+        _check_distance(np.abs(d))
+        den = den * d
     return den
 
 
@@ -359,8 +352,7 @@ def _pole_sums(r: RationalFunction, zs: np.ndarray) -> tuple:
         _check_distance(dist)
         bprime += (abs(a) ** 2 - 1.0) / dist**2
         logw += 1.0 / d
-        # Not den * d: the expression of _denominator, so r matches rat_eval.
-        den = den * (zs - a)
+        den = den * d
     pv = _horner(r.numer.coeffs, zs)
     dv = _horner(r.numer.derivative().coeffs, zs)
     return pv / den, (dv - pv * logw) / den, bprime

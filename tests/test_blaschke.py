@@ -63,6 +63,18 @@ def test_repeated_pole_is_power_of_single_factor():
         assert abs(blaschke_eval(triple, z) - blaschke_eval(single, z) ** 3) <= 1e-12
 
 
+@pytest.mark.parametrize("count", [16384, 65536])
+def test_eval_array_matches_point_evaluation(count):
+    # From 16384 points numpy may write a product into an operand's
+    # temporary with the operands swapped, which moves last bits.
+    rng = CounterRng(2300 + count)
+    b = BlaschkeProduct(random_pole_set(rng, n_max=24))
+    zs = np.exp(2j * np.pi * np.arange(count) / count)
+    values = blaschke_eval(b, zs)
+    for i in range(0, count, count // 256):
+        assert values[i] == blaschke_eval(b, complex(zs[i])), i
+
+
 def test_eval_near_pole_rejected():
     b = BlaschkeProduct(PoleSet([2.0]))
     with pytest.raises(NearPole):

@@ -1,5 +1,8 @@
 """Bound arms, hypothesis gating, certification sweeps, and equality families."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,11 +29,13 @@ from ratbound import (
     check_hypothesis,
     make_extremal,
     margin_curve,
+    min_modulus_on_circle,
     rat_derivative_eval,
     rat_eval,
     rhs_value,
     sharpness_gap,
 )
+from ratbound.bounds import profile
 from ratbound.harness import GeneratorSpec, generate, instance_from_dict
 
 UPPER_IDS = (
@@ -314,6 +319,94 @@ def test_hypothesis_boundary_zero_rule():
     check_hypothesis(TheoremId.MAIN_UPPER_COR, on, k)
 
 
+# Every id's decisions, one row each: (check_hypothesis, make_extremal).
+# A group is one case and its marks are k = 0.5, 0.7, 1.0, 1.5, with "+"
+# for accepted and "." for refused.  The check_hypothesis cases, against the
+# poles DECISION_POLES, are zeros outside with t < n and with t = n, inside
+# with t < n and with t = n, on either side, and on |z| = k with t < n and
+# with t = n.  The make_extremal cases are a = 3 with (t, n) = (0, 3),
+# (1, 3) and (3, 3).
+DECISION_POLES = (2.2j, 3.0, -2.5j, -4.0)
+DECISION_RADII = (0.5, 0.7, 1.0, 1.5)
+EXPECTED_DECISIONS = {
+    "li-upper": ("..+. ..+. .... .... .... ..+. ..+.", ".... .... ..+."),
+    "li-lower": (".... .... ..+. ..+. .... ..+. ..+.", ".... .... ..+."),
+    "aziz-shah-upper-97": ("..+. ..+. .... .... .... ..+. ..+.", ".... .... ..++"),
+    "aziz-shah-lower-97": (".... .... .... ..+. .... .... ..+.", ".... .... +++."),
+    "aziz-zarger-99": ("..++ ..++ .... .... .... ..++ ..++", ".... .... ..++"),
+    "aziz-shah-04": (".... .... +++. +++. .... +++. +++.", ".... +++. +++."),
+    "aziz-shah-04-cor": (".... .... .... +++. .... .... +++.", ".... .... +++."),
+    "main-upper": ("..++ ..++ .... .... .... ..++ ..++", ".... ..++ ..++"),
+    "main-upper-cor": (".... .... .... .... .... ..++ ..++", ".... ..++ ..++"),
+    "main-lower": (".... .... +++. +++. .... +++. +++.", ".... +++. +++."),
+    "main-lower-cor": (".... .... .... +++. .... .... +++.", ".... .... +++."),
+}
+
+
+def _decision_zeros(k: float) -> list:
+    return [
+        [2.0, -1.8j],
+        [2.0, -1.8j, 1.7, -1.6],
+        [0.2, -0.3j],
+        [0.2, -0.3j, 0.1, 0.25j],
+        [0.2, 1.8, 0.4j, -1.9],
+        [-k],
+        [k, -k * 1j, k * 1j, -k],
+    ]
+
+
+def _marks(refusal, call, cases) -> str:
+    """One group of marks per case, one mark per radius."""
+
+    def mark(case, k):
+        try:
+            call(case, k)
+        except refusal:
+            return "."
+        return "+"
+
+    return " ".join("".join(mark(case, k) for k in DECISION_RADII) for case in cases)
+
+
+def test_decision_table_for_every_id():
+    assert set(EXPECTED_DECISIONS) == {theorem.value for theorem in TheoremId}
+    poles = PoleSet(DECISION_POLES)
+    for name, want in EXPECTED_DECISIONS.items():
+        theorem = TheoremId.from_name(name)
+        check = _marks(
+            HypothesisViolated,
+            lambda case, k: check_hypothesis(theorem, RationalFunction.from_zeros(_decision_zeros(k)[case], poles), k),
+            range(7),
+        )
+        extremal = _marks(ParameterOutOfRange, lambda t, k: make_extremal(theorem, 3.0, k, t, 3), (0, 1, 3))
+        assert (check, extremal) == want, name
+
+
+def test_readme_id_table_matches_profiles():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if cells and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = cells[1:]
+    assert set(rows) == {theorem.value for theorem in TheoremId}
+    for name, cells in rows.items():
+        prof = profile(TheoremId.from_name(name))
+        flags = (not prof.uses_m, prof.k_is_one, prof.t_is_n, prof.needs_all_zeros, prof.needs_boundary_zero)
+        assert cells == [prof.direction] + ["yes" if flag else "" for flag in flags], name
+
+
+def test_only_main_upper_is_degenerate():
+    r = RationalFunction(Polynomial([0.7]), PoleSet())
+    refused = set()
+    for theorem in TheoremId:
+        try:
+            build_context(theorem, r, 1.0, 256)
+        except DegenerateBound:
+            refused.add(theorem)
+    assert refused == {TheoremId.MAIN_UPPER}
+
+
 # ---------------------------------------------------------------------------
 # context building and the degenerate guard
 
@@ -322,11 +415,11 @@ def test_context_minimum_circle_selection():
     k = 1.5
     r = RationalFunction.from_zeros([-2.0, 3.0], PoleSet([4.0, 5.0]))
     plain = build_context(TheoremId.LI_UPPER, r, 1.0, 1024)
-    assert plain.m == 0.0 and plain.m_circle is None
+    assert plain.m == 0.0
     unit = build_context(TheoremId.AZIZ_SHAH_UPPER_97, r, 1.0, 1024)
-    assert unit.m_circle == 1.0 and unit.m > 0
+    assert unit.m == min_modulus_on_circle(r, 1.0, CircleGrid(1.0, 1024)).value and unit.m > 0
     scan = build_context(TheoremId.MAIN_UPPER, r, k, 1024)
-    assert scan.m_circle == k and scan.m > 0
+    assert scan.m == min_modulus_on_circle(r, k, CircleGrid(k, 1024)).value and scan.m > 0
     assert scan.m != unit.m
 
 

@@ -230,7 +230,8 @@ def quotient_rule_reference(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
         logw += 1.0 / (zs - a)
     den = np.ones(zs.shape, dtype=np.complex128)
     for a in r.poles.poles:
-        den = den * (zs - a)
+        d = zs - a
+        den = den * d
     return (dv - pv * logw) / den
 
 
@@ -260,6 +261,22 @@ def test_pole_sums_match_separate_evaluations_bit_for_bit(n):
             if count == 1:
                 assert rv[0] == rat_eval(r, complex(zs[0]))
                 assert bprime[0] == blaschke_deriv_modulus_on_T1(b, complex(zs[0]))
+
+
+@pytest.mark.parametrize("count", [16384, 65536])
+def test_rat_eval_array_matches_point_evaluation(count):
+    # From 16384 points numpy may reuse a temporary as the output of a
+    # product, and an in-place complex product may take another SIMD loop;
+    # either changes last bits against the same point evaluated alone.
+    rng = CounterRng(9300 + count)
+    zs = np.exp(2j * np.pi * np.arange(count) / count)
+    for n in (6, 24):
+        poles = PoleSet([(1.1 + 1.9 * rng.next_float()) * unit_point(2 * np.pi * rng.next_float()) for _ in range(n)])
+        zeros = [2.0 * rng.next_float() * unit_point(2 * np.pi * rng.next_float()) for _ in range(n)]
+        r = RationalFunction.from_zeros(zeros, poles, 0.5 + rng.next_float())
+        values = rat_eval(r, zs)
+        for i in range(0, count, count // 256):
+            assert values[i] == rat_eval(r, complex(zs[i])), (n, i)
 
 
 def test_pole_sums_near_pole_rejected():
