@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import _check_on_unit_circle
-from .circlescan import CircleGrid, _scan, min_modulus_on_circle
+from .circlescan import CircleGrid, _extremum, _pole_circle_guard, min_modulus_on_circle
 from .errors import DegenerateBound, HypothesisViolated, ParameterOutOfRange
 from .ratfun import (
     PoleSet,
@@ -25,6 +25,7 @@ from .ratfun import (
     RationalFunction,
     ZeroLocation,
     _pole_sums,
+    _zeros_on_circle,
     classify_zeros,
 )
 
@@ -32,8 +33,6 @@ from .ratfun import (
 MARGIN_TOL = 1e-9
 # Norm and min modulus closer than this make the main upper bound ill-posed.
 DEGENERATE_GAP = 1e-12
-# A zero counts as sitting on the circle |z| = k within this distance.
-BOUNDARY_ZERO_TOL = 1e-9
 
 
 class TheoremId(enum.Enum):
@@ -121,10 +120,8 @@ def check_hypothesis(theorem: TheoremId, r: RationalFunction, k: float):
     if not classify_zeros(r, hypothesis_zero_location(theorem, k)):
         side = "outside" if prof.direction == "upper" else "inside"
         raise HypothesisViolated(f"{theorem.value} needs every zero {side} or on |z|={k}")
-    if prof.needs_boundary_zero:
-        moduli = np.abs(r.zeros())
-        if not (moduli.size and np.any(np.abs(moduli - k) <= BOUNDARY_ZERO_TOL)):
-            raise HypothesisViolated(f"{theorem.value} needs at least one zero on |z|={k}")
+    if prof.needs_boundary_zero and not _zeros_on_circle(r, k).size:
+        raise HypothesisViolated(f"{theorem.value} needs at least one zero on |z|={k}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ def build_context(theorem: TheoremId, r: RationalFunction, k: float, grid_count:
 
 
 def _unit_pass(theorem: TheoremId, r: RationalFunction, k: float, grid_count: int) -> tuple:
-    """Context, and |r|, r' and |B'| on the unit grid from one pass over the poles.
+    """Context, the unit grid, and |r|, r' and |B'| on it from one pass over the poles.
 
     The norm scan takes its grid moduli from that pass.
     """
@@ -199,17 +196,13 @@ def _unit_pass(theorem: TheoremId, r: RationalFunction, k: float, grid_count: in
     if prof.uses_m:
         m_k = _pinned_k(prof, k)
         m = min_modulus_on_circle(r, m_k, CircleGrid(m_k, grid_count)).value
-    sums = []
-
-    def unit_moduli(zs):
-        rv, deriv, bprime = _pole_sums(r, zs)
-        sums.extend((np.abs(rv), deriv, bprime))
-        return sums[0]
-
-    norm = _scan(r, 1.0, CircleGrid(1.0, grid_count), True, unit_moduli).value
-    ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=k)
+    unit = CircleGrid(1.0, grid_count)
+    _pole_circle_guard(r, 1.0)
+    rv, deriv, bprime = _pole_sums(r, unit.points())
+    r_abs = np.abs(rv)
+    ctx = BoundContext(norm=_extremum(r, unit, r_abs, True).value, m=m, t=r.t, n=r.n, k=k)
     _degenerate_guard(theorem, ctx)
-    return (ctx, *sums)
+    return ctx, unit, r_abs, deriv, bprime
 
 
 def _degenerate_guard(theorem: TheoremId, ctx: BoundContext):
@@ -252,7 +245,6 @@ class BoundVerdict:
 
     theorem: TheoremId
     context: BoundContext
-    grid_count: int
     min_margin: float
     worst_theta: float
     violations: int
@@ -266,9 +258,8 @@ class BoundVerdict:
 def _sweep(theorem: TheoremId, r: RationalFunction, grid: CircleGrid):
     """Context, unit-circle angles, |r'|, RHS and margins of one grid sweep."""
     check_hypothesis(theorem, r, grid.k)
-    ctx, r_abs, deriv, bprime = _unit_pass(theorem, r, grid.k, grid.count)
-    thetas = CircleGrid(1.0, grid.count).thetas()
-    return (ctx, thetas) + _margins(theorem, ctx, r_abs, deriv, bprime)
+    ctx, unit, r_abs, deriv, bprime = _unit_pass(theorem, r, grid.k, grid.count)
+    return (ctx, unit.thetas()) + _margins(theorem, ctx, r_abs, deriv, bprime)
 
 
 def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundVerdict:
@@ -284,7 +275,6 @@ def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundV
     return BoundVerdict(
         theorem=theorem,
         context=ctx,
-        grid_count=grid.count,
         min_margin=float(margin[worst]),
         worst_theta=float(thetas[worst]),
         violations=int(np.sum(margin < -tol)),
@@ -356,6 +346,7 @@ def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
 
 def sharpness_gap(theorem: TheoremId, r: RationalFunction, z, k: float = 1.0, grid_count: int = 1024) -> float:
     """|RHS(z) - |r'(z)|| for one instance; small means the bound is tight."""
-    ctx = build_context(theorem, r, float(k), grid_count)
-    check_hypothesis(theorem, r, ctx.k)
+    k = float(k)
+    check_hypothesis(theorem, r, k)
+    ctx = build_context(theorem, r, k, grid_count)
     return abs(_point_margins(theorem, r, ctx, z)[2])

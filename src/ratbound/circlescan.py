@@ -17,17 +17,16 @@ import numpy as np
 
 from .blaschke import _check_on_unit_circle
 from .errors import NearZeroOfR, PoleOnCircle, ZeroOnContour
-from .ratfun import Polynomial, RationalFunction, _pole_sums, rat_eval
+from .ratfun import Polynomial, RationalFunction, _pole_sums, _zeros_on_circle, rat_eval
 
 DEFAULT_GRID_COUNT = 1024
-ACCEPTANCE_GRID_COUNT = 4096
 REFINE_THETA_TOL = 1e-12
 # Points per refinement step; the bracket shrinks by (REFINE_POINTS + 1) / 2 a step.
 REFINE_POINTS = 64
 # Below this any modulus is reported as an exact zero minimum.
 ZERO_SNAP = 1e-13
-# Poles and numerator zeros are matched against the circle radius with
-# this tolerance when deciding PoleOnCircle and the exact-zero minimum.
+# A pole this close to the scan radius raises PoleOnCircle, and a numerator
+# root this close to the winding contour (by its Newton step) ZeroOnContour.
 CIRCLE_MATCH_TOL = 1e-9
 WINDING_START = 256
 WINDING_MAX = 1 << 22
@@ -57,7 +56,6 @@ class CircleGrid:
 class CircleScanResult:
     value: float
     arg_at: float
-    grid_count: int
     refined: bool
 
 
@@ -94,64 +92,61 @@ def _pole_circle_guard(r: RationalFunction, k: float):
             raise PoleOnCircle(f"pole modulus within {gap:.3g} of the scan radius {k}")
 
 
-def _scan(r: RationalFunction, k: float, grid: CircleGrid | None, maximize: bool, moduli=None) -> CircleScanResult:
-    """Extremum of |r| on |z| = k: pole guard, grid moduli, then refinement.
-
-    ``moduli`` maps the grid points to |r| there; by default it is
-    ``abs(rat_eval)``.  A caller that needs more than |r| on the grid passes
-    its own, so the grid is evaluated once, after the guard.
-    """
+def _circle_grid(r: RationalFunction, k: float, grid: CircleGrid | None) -> CircleGrid:
+    """The scan grid on |z| = k (the default grid for None), once the pole guard passed."""
     if grid is None:
         grid = CircleGrid(k)
     elif grid.k != k:
         raise ValueError("grid radius disagrees with the requested circle")
     _pole_circle_guard(r, k)
-    thetas = grid.thetas()
-    vals = np.abs(rat_eval(r, grid.points())) if moduli is None else moduli(grid.points())
+    return grid
+
+
+def _extremum(r: RationalFunction, grid: CircleGrid, vals: np.ndarray, maximize: bool) -> CircleScanResult:
+    """Extremum of |r| on the grid's circle from ``vals``, |r| at the grid points.
+
+    The best sample is refined; a minimum below ZERO_SNAP is reported as
+    an exact, unrefined 0.0.
+    """
     best = int(np.argmax(vals) if maximize else np.argmin(vals))
+    theta = float(grid.thetas()[best])
     if not maximize and float(vals[best]) < ZERO_SNAP:
-        return CircleScanResult(0.0, float(thetas[best]), grid.count, False)
+        return CircleScanResult(0.0, theta, False)
     step = 2.0 * np.pi / grid.count
 
     def modulus(ts: np.ndarray) -> np.ndarray:
-        return np.abs(rat_eval(r, k * np.exp(1j * ts)))
+        return np.abs(rat_eval(r, grid.k * np.exp(1j * ts)))
 
-    lo = float(thetas[best]) - step
-    hi = float(thetas[best]) + step
-    theta_ref, val_ref = _golden(modulus, lo, hi, maximize)
+    theta_ref, val_ref = _golden(modulus, theta - step, theta + step, maximize)
     # Refinement must never report something the grid already beat.
     if (maximize and val_ref < vals[best]) or (not maximize and val_ref > vals[best]):
-        theta_ref, val_ref = float(thetas[best]), float(vals[best])
+        theta_ref, val_ref = theta, float(vals[best])
     if not maximize and val_ref < ZERO_SNAP:
-        return CircleScanResult(0.0, theta_ref % (2.0 * np.pi), grid.count, False)
-    return CircleScanResult(float(val_ref), theta_ref % (2.0 * np.pi), grid.count, True)
+        return CircleScanResult(0.0, theta_ref % (2.0 * np.pi), False)
+    return CircleScanResult(float(val_ref), theta_ref % (2.0 * np.pi), True)
 
 
 def sup_modulus_on_circle(r: RationalFunction, k: float, grid: CircleGrid | None = None) -> CircleScanResult:
     """Supremum of |r| on |z| = k (grid scan plus bracket refinement)."""
-    return _scan(r, float(k), grid, maximize=True)
+    grid = _circle_grid(r, float(k), grid)
+    return _extremum(r, grid, np.abs(rat_eval(r, grid.points())), True)
 
 
 def min_modulus_on_circle(r: RationalFunction, k: float, grid: CircleGrid | None = None) -> CircleScanResult:
     """Minimum of |r| on |z| = k.
 
-    A numerator zero lying on the circle (modulus within 1e-9 of k)
-    forces an exact 0.0, reported unrefined; this is what makes the
-    boundary-zero instances produce m = 0 rather than a grid-limited
-    small number.  Any scanned or refined value below 1e-13 snaps to
-    0.0 the same way.
+    A numerator zero lying on the circle (modulus within 1e-9 of k, the
+    band that also decides the zero's side) forces an exact 0.0,
+    reported unrefined; this is what makes the boundary-zero instances
+    produce m = 0 rather than a grid-limited small number.  Any scanned
+    or refined value below 1e-13 snaps to 0.0 the same way.
     """
     k = float(k)
-    if r.t > 0:
-        moduli = np.abs(r.zeros())
-        hit = np.abs(moduli - k) <= CIRCLE_MATCH_TOL
-        if np.any(hit):
-            _pole_circle_guard(r, k)
-            zero = r.zeros()[np.argmax(hit)]
-            theta = float(np.angle(zero) % (2.0 * np.pi))
-            count = grid.count if grid is not None else DEFAULT_GRID_COUNT
-            return CircleScanResult(0.0, theta, count, False)
-    return _scan(r, k, grid, maximize=False)
+    grid = _circle_grid(r, k, grid)
+    on_circle = _zeros_on_circle(r, k)
+    if on_circle.size:
+        return CircleScanResult(0.0, float(np.angle(on_circle[0]) % (2.0 * np.pi)), False)
+    return _extremum(r, grid, np.abs(rat_eval(r, grid.points())), False)
 
 
 def winding_zero_count(p: Polynomial, k: float) -> int:

@@ -21,7 +21,9 @@ from .errors import NearPole, NonConvergence, Reducible
 POLE_PROXIMITY_CUTOFF = 1e-12
 # Numerator roots this close to a pole make the quotient reducible.
 COINCIDENCE_CUTOFF = 1e-12
-# Tolerance band applied to |root| - k when classifying zero locations.
+# A numerator root with ||root| - k| within this band lies on |z| = k: it is
+# on both sides of the circle, meets the boundary-zero hypothesis and makes
+# the minimum modulus on the circle exactly 0.
 CLASSIFY_BAND = 1e-9
 # Residual acceptance for the simultaneous root iteration.
 ROOT_RESIDUAL_FACTOR = 1e-10
@@ -102,12 +104,10 @@ class Polynomial:
 
     def roots(self) -> np.ndarray:
         """Roots with multiplicity; the construction-time cache wins."""
-        if self._roots is not None:
-            return self._roots.copy()
-        computed = poly_roots(self)
-        self._roots = computed.copy()
-        self._roots.flags.writeable = False
-        return computed
+        if self._roots is None:
+            self._roots = poly_roots(self)
+            self._roots.flags.writeable = False
+        return self._roots.copy()
 
 
 def pointwise(fn):
@@ -140,16 +140,11 @@ def poly_eval(p: Polynomial, zs):
 
 def _aberth_sweeps(coeffs: np.ndarray, guesses: np.ndarray, budget: int) -> np.ndarray:
     """Simultaneous Newton corrections with repulsion between iterates."""
-    d = coeffs.size - 1
     deriv = coeffs[1:] * np.arange(1, coeffs.size)
     x = guesses.copy()
     for _ in range(budget):
-        pv = np.full(d, coeffs[-1], dtype=np.complex128)
-        for c in coeffs[-2::-1]:
-            pv = pv * x + c
-        dv = np.full(d, deriv[-1], dtype=np.complex128)
-        for c in deriv[-2::-1]:
-            dv = dv * x + c
+        pv = _horner(coeffs, x)
+        dv = _horner(deriv, x)
         # Stalled derivative means a perfectly symmetric guess; nudge it.
         bad = dv == 0
         if np.any(bad):
@@ -170,14 +165,13 @@ def _aberth_sweeps(coeffs: np.ndarray, guesses: np.ndarray, budget: int) -> np.n
 def poly_roots(p: Polynomial, sweep_budget: int = ROOT_SWEEP_BUDGET) -> np.ndarray:
     """All roots of ``p`` counted with multiplicity.
 
-    Cached roots from a from_roots construction are returned as-is.
-    Otherwise the roots are found by simultaneous iteration started on
-    a circle, which keeps multiple roots grouped in tight clusters, and
-    every root must satisfy a residual bound scaled by the coefficient
-    size or NonConvergence is raised.
+    The roots are found by simultaneous iteration started on a circle,
+    which keeps multiple roots grouped in tight clusters, and every root
+    must satisfy a residual bound scaled by the coefficient size or
+    NonConvergence is raised.  The iteration always runs; the cached
+    roots of a from_roots construction are what ``Polynomial.roots``
+    returns.
     """
-    if p._roots is not None:
-        return p._roots.copy()
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
     coeffs = p.coeffs
@@ -362,6 +356,12 @@ def _pole_sums(r: RationalFunction, zs: np.ndarray) -> tuple:
 def rat_derivative_eval(r: RationalFunction, zs):
     """Evaluate r'(z) by the quotient rule, r' = (p' - p * w'/w) / w."""
     return _pole_sums(r, zs)[1]
+
+
+def _zeros_on_circle(r: RationalFunction, k: float) -> np.ndarray:
+    """Numerator zeros whose modulus is within CLASSIFY_BAND of k, in root order."""
+    zs = r.zeros()
+    return zs[np.abs(np.abs(zs) - k) <= CLASSIFY_BAND]
 
 
 def classify_zeros(r: RationalFunction, where: ZeroLocation) -> bool:

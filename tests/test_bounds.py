@@ -27,6 +27,7 @@ from ratbound import (
     build_context,
     certify,
     check_hypothesis,
+    hypothesis_zero_location,
     make_extremal,
     margin_curve,
     min_modulus_on_circle,
@@ -34,6 +35,7 @@ from ratbound import (
     rat_eval,
     rhs_value,
     sharpness_gap,
+    sup_modulus_on_circle,
 )
 from ratbound.bounds import profile
 from ratbound.harness import GeneratorSpec, generate, instance_from_dict
@@ -323,23 +325,25 @@ def test_hypothesis_boundary_zero_rule():
 # A group is one case and its marks are k = 0.5, 0.7, 1.0, 1.5, with "+"
 # for accepted and "." for refused.  The check_hypothesis cases, against the
 # poles DECISION_POLES, are zeros outside with t < n and with t = n, inside
-# with t < n and with t = n, on either side, and on |z| = k with t < n and
-# with t = n.  The make_extremal cases are a = 3 with (t, n) = (0, 3),
-# (1, 3) and (3, 3).
+# with t < n and with t = n, on either side, on |z| = k with t < n and with
+# t = n, and one zero at each of NEAR_CIRCLE_OFFSETS from |z| = k.  The
+# make_extremal cases are a = 3 with (t, n) = (0, 3), (1, 3) and (3, 3).
 DECISION_POLES = (2.2j, 3.0, -2.5j, -4.0)
 DECISION_RADII = (0.5, 0.7, 1.0, 1.5)
+# |b| - k for the near-circle zeros b, inside and outside the 1e-9 band.
+NEAR_CIRCLE_OFFSETS = (5e-10, -5e-10, 2e-9, -2e-9)
 EXPECTED_DECISIONS = {
-    "li-upper": ("..+. ..+. .... .... .... ..+. ..+.", ".... .... ..+."),
-    "li-lower": (".... .... ..+. ..+. .... ..+. ..+.", ".... .... ..+."),
-    "aziz-shah-upper-97": ("..+. ..+. .... .... .... ..+. ..+.", ".... .... ..++"),
-    "aziz-shah-lower-97": (".... .... .... ..+. .... .... ..+.", ".... .... +++."),
-    "aziz-zarger-99": ("..++ ..++ .... .... .... ..++ ..++", ".... .... ..++"),
-    "aziz-shah-04": (".... .... +++. +++. .... +++. +++.", ".... +++. +++."),
-    "aziz-shah-04-cor": (".... .... .... +++. .... .... +++.", ".... .... +++."),
-    "main-upper": ("..++ ..++ .... .... .... ..++ ..++", ".... ..++ ..++"),
-    "main-upper-cor": (".... .... .... .... .... ..++ ..++", ".... ..++ ..++"),
-    "main-lower": (".... .... +++. +++. .... +++. +++.", ".... +++. +++."),
-    "main-lower-cor": (".... .... .... +++. .... .... +++.", ".... .... +++."),
+    "li-upper": ("..+. ..+. .... .... .... ..+. ..+. ..+. ..+. ..+. ....", ".... .... ..+."),
+    "li-lower": (".... .... ..+. ..+. .... ..+. ..+. ..+. ..+. .... ..+.", ".... .... ..+."),
+    "aziz-shah-upper-97": ("..+. ..+. .... .... .... ..+. ..+. ..+. ..+. ..+. ....", ".... .... ..++"),
+    "aziz-shah-lower-97": (".... .... .... ..+. .... .... ..+. .... .... .... ....", ".... .... +++."),
+    "aziz-zarger-99": ("..++ ..++ .... .... .... ..++ ..++ ..++ ..++ ..++ ....", ".... .... ..++"),
+    "aziz-shah-04": (".... .... +++. +++. .... +++. +++. +++. +++. .... +++.", ".... +++. +++."),
+    "aziz-shah-04-cor": (".... .... .... +++. .... .... +++. .... .... .... ....", ".... .... +++."),
+    "main-upper": ("..++ ..++ .... .... .... ..++ ..++ ..++ ..++ ..++ ....", ".... ..++ ..++"),
+    "main-upper-cor": (".... .... .... .... .... ..++ ..++ ..++ ..++ .... ....", ".... ..++ ..++"),
+    "main-lower": (".... .... +++. +++. .... +++. +++. +++. +++. .... +++.", ".... +++. +++."),
+    "main-lower-cor": (".... .... .... +++. .... .... +++. .... .... .... ....", ".... .... +++."),
 }
 
 
@@ -352,7 +356,7 @@ def _decision_zeros(k: float) -> list:
         [0.2, 1.8, 0.4j, -1.9],
         [-k],
         [k, -k * 1j, k * 1j, -k],
-    ]
+    ] + [[-(k + offset)] for offset in NEAR_CIRCLE_OFFSETS]
 
 
 def _marks(refusal, call, cases) -> str:
@@ -376,10 +380,16 @@ def test_decision_table_for_every_id():
         check = _marks(
             HypothesisViolated,
             lambda case, k: check_hypothesis(theorem, RationalFunction.from_zeros(_decision_zeros(k)[case], poles), k),
-            range(7),
+            range(11),
         )
         extremal = _marks(ParameterOutOfRange, lambda t, k: make_extremal(theorem, 3.0, k, t, 3), (0, 1, 3))
         assert (check, extremal) == want, name
+    # The band that puts a zero on the circle for the zero side and the
+    # boundary-zero hypothesis also makes m exactly 0.
+    for k in DECISION_RADII:
+        for offset in NEAR_CIRCLE_OFFSETS:
+            r = RationalFunction.from_zeros([-(k + offset)], poles)
+            assert (min_modulus_on_circle(r, k).value == 0.0) == (abs(offset) < 1e-9), (k, offset)
 
 
 def test_readme_id_table_matches_profiles():
@@ -423,6 +433,20 @@ def test_context_minimum_circle_selection():
     assert scan.m != unit.m
 
 
+@pytest.mark.parametrize("count", [1024, 65536])
+def test_sweep_context_equals_public_scans(count):
+    cases = [(TheoremId.MAIN_UPPER, k, n, 0.0) for k in (1.0, 1.5) for n in (1, 3, 24)]
+    cases += [(TheoremId.MAIN_LOWER, k, n, 0.0) for k in (0.7, 1.0) for n in (1, 3, 24)]
+    cases.append((TheoremId.MAIN_UPPER_COR, 1.5, 3, 1.0))
+    for theorem, k, n, p_boundary in cases:
+        region = hypothesis_zero_location(theorem, k)
+        t = n - 1 if p_boundary else n
+        (r,) = generate(GeneratorSpec(n=n, t=t, zero_region=region, seed=4600 + n, count=1, p_boundary=p_boundary))
+        ctx = certify(theorem, r, CircleGrid(k, count)).context
+        assert ctx.norm == sup_modulus_on_circle(r, 1.0, CircleGrid(1.0, count)).value, (theorem, k, n)
+        assert ctx.m == min_modulus_on_circle(r, k, CircleGrid(k, count)).value, (theorem, k, n)
+
+
 def test_degenerate_guard_constant():
     r = RationalFunction(Polynomial([0.7]), PoleSet())
     with pytest.raises(DegenerateBound):
@@ -462,6 +486,13 @@ def test_certify_refuses_pure_blaschke_for_upper():
     r = RationalFunction.from_zeros([0.5], poles)
     with pytest.raises(HypothesisViolated):
         certify(TheoremId.LI_UPPER, r, CircleGrid(1.0, 1024))
+    # B itself has norm = m = 1, so the context would be degenerate, but the
+    # hypothesis is checked first: its zeros lie inside the unit disk.
+    b = blaschke_offset_family(PoleSet([2.0, 3.0]), 0.0)
+    with pytest.raises(HypothesisViolated):
+        certify(TheoremId.MAIN_UPPER, b, CircleGrid(1.0, 1024))
+    with pytest.raises(HypothesisViolated):
+        sharpness_gap(TheoremId.MAIN_UPPER, b, 1.0, k=1.0)
 
 
 def test_certify_refuses_pole_next_to_unit_circle():

@@ -112,6 +112,9 @@ def test_min_exact_zero_for_boundary_zero():
     assert res.value == 0.0
     assert not res.refined
     assert abs(res.arg_at - np.pi) <= 1e-9
+    # The grid is checked before the shortcut, as it is without such a zero.
+    with pytest.raises(ValueError):
+        min_modulus_on_circle(r, k, CircleGrid(1.5, 1024))
 
 
 def test_scan_matches_dense_grid_oracle():
