@@ -48,9 +48,6 @@ class BlaschkeProduct:
     def __call__(self, z):
         return blaschke_eval(self, z)
 
-    def deriv_modulus_on_circle(self, z):
-        return blaschke_deriv_modulus_on_T1(self, z)
-
     @pointwise
     def z_log_derivative(self, zs):
         """z B'(z)/B(z) from the factorwise logarithmic derivative.

@@ -200,7 +200,10 @@ def _unit_pass(theorem: TheoremId, r: RationalFunction, k: float, grid_count: in
     _pole_circle_guard(r, 1.0)
     rv, deriv, bprime = _pole_sums(r, unit.points())
     r_abs = np.abs(rv)
-    ctx = BoundContext(norm=_extremum(r, unit, r_abs, True).value, m=m, t=r.t, n=r.n, k=k)
+    norm = _extremum(r, unit, r_abs, True).value
+    if not (np.isfinite(norm) and norm > 0 and np.isfinite(m)):
+        raise ParameterOutOfRange(f"instance values leave the double range: sup |r| = {norm!r}, min modulus = {m!r}")
+    ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=k)
     _degenerate_guard(theorem, ctx)
     return ctx, unit, r_abs, deriv, bprime
 

@@ -44,12 +44,9 @@ def _default_grid() -> int:
     if raw is None:
         return DEFAULT_GRID_COUNT
     try:
-        count = int(raw)
-    except ValueError:
-        raise ParseError(f"RATBOUND_GRID={raw!r} is not an integer")
-    if count < 64 or count & (count - 1):
-        raise ParseError(f"RATBOUND_GRID={count} must be a power of two, at least 64")
-    return count
+        return CircleGrid(1.0, int(raw)).count
+    except ValueError as exc:
+        raise ParseError(f"RATBOUND_GRID={raw!r}: {exc}")
 
 
 def _load_instance(path: str):
@@ -214,7 +211,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # Overflow shows up as a refusal with one line, not as numpy's warnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except HypothesisViolated as exc:
         print(f"hypothesis: {exc}")
         return EXIT_HYPOTHESIS

@@ -14,16 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import BoundVerdict, TheoremId, certify, hypothesis_zero_location, profile
+from .bounds import TheoremId, certify, hypothesis_zero_location, profile
 from .circlescan import CircleGrid
 from .errors import DegenerateBound, HypothesisMismatch, SpecInvalid
-from .ratfun import (
-    MODE_OUTSIDE,
-    MODE_UNCONSTRAINED,
-    PoleSet,
-    RationalFunction,
-    ZeroLocation,
-)
+from .ratfun import MODE_OUTSIDE, PoleSet, RationalFunction, ZeroLocation
 from .rng import CounterRng
 
 # Poles below this modulus put the sweep circles badly close to a pole.
@@ -83,9 +77,7 @@ def _draw_pole(rng: CounterRng, lo: float, hi: float, avoid_radii) -> complex:
 
 def _draw_zero(rng: CounterRng, region: ZeroLocation, p_boundary: float, poles) -> complex:
     for _ in range(DRAW_BUDGET):
-        if region.mode == MODE_UNCONSTRAINED:
-            rho = 2.0 * np.sqrt(rng.next_float())
-        elif rng.next_float() < p_boundary:
+        if rng.next_float() < p_boundary:
             rho = region.k
         elif region.mode == MODE_OUTSIDE:
             rho = rng.next_radius(region.k, region.k + 2.0)
@@ -164,7 +156,7 @@ def run_campaign(spec: GeneratorSpec, theorem: TheoremId, grid: CircleGrid) -> C
     """
     want = hypothesis_zero_location(theorem, grid.k)
     got = spec.zero_region
-    if got.mode != want.mode or got.k != want.k:
+    if got != want:
         raise HypothesisMismatch(
             f"{theorem.value} needs zeros {want.mode} at k={want.k}, spec generates {got.mode} at k={got.k}"
         )
@@ -173,16 +165,17 @@ def run_campaign(spec: GeneratorSpec, theorem: TheoremId, grid: CircleGrid) -> C
         raise HypothesisMismatch(f"{theorem.value} needs t == n, spec has t={spec.t}, n={spec.n}")
     if prof.needs_boundary_zero and not (spec.p_boundary == 1.0 and spec.t >= 1):
         raise HypothesisMismatch(f"{theorem.value} needs p_boundary == 1 and t >= 1 to pin a zero on the circle")
-    verdicts: list[BoundVerdict] = []
+    certified = violations = degenerate = skipped = 0
     worst: tuple[float, RationalFunction] | None = None
-    degenerate = 0
     for r in generate(spec):
         try:
             verdict = certify(theorem, r, grid)
         except DegenerateBound:
             degenerate += 1
             continue
-        verdicts.append(verdict)
+        certified += 1
+        violations += verdict.violations
+        skipped += verdict.skipped_points
         if worst is None or verdict.min_margin < worst[0]:
             worst = (verdict.min_margin, r)
     worst_doc = None
@@ -194,10 +187,10 @@ def run_campaign(spec: GeneratorSpec, theorem: TheoremId, grid: CircleGrid) -> C
         spec=spec,
         grid=grid,
         instances=spec.count,
-        certified=len(verdicts),
-        violations=sum(v.violations for v in verdicts),
+        certified=certified,
+        violations=violations,
         degenerate_count=degenerate,
-        skipped_points=sum(v.skipped_points for v in verdicts),
-        min_margin=min((v.min_margin for v in verdicts), default=None),
+        skipped_points=skipped,
+        min_margin=None if worst is None else worst[0],
         worst_instance=worst_doc,
     )

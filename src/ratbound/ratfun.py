@@ -227,18 +227,17 @@ class PoleSet:
 
 MODE_OUTSIDE = "all-outside-or-on"
 MODE_INSIDE = "all-inside-or-on"
-MODE_UNCONSTRAINED = "unconstrained"
 
 
 @dataclass(frozen=True)
 class ZeroLocation:
-    """Zero-location predicate: a closed region relative to the circle |z| = k."""
+    """Zero-location predicate: the closed side of the circle |z| = k, outside or inside."""
 
     mode: str
     k: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in (MODE_OUTSIDE, MODE_INSIDE, MODE_UNCONSTRAINED):
+        if self.mode not in (MODE_OUTSIDE, MODE_INSIDE):
             raise ValueError(f"unknown zero-location mode {self.mode!r}")
         if not (np.isfinite(self.k) and self.k > 0):
             raise ValueError("radius k must be a positive finite real")
@@ -251,10 +250,6 @@ class ZeroLocation:
     def all_inside_or_on(cls, k: float) -> "ZeroLocation":
         return cls(MODE_INSIDE, float(k))
 
-    @classmethod
-    def unconstrained(cls) -> "ZeroLocation":
-        return cls(MODE_UNCONSTRAINED, 1.0)
-
 
 class RationalFunction:
     """Quotient p / w with w fixed by the pole multiset and deg p <= n."""
@@ -266,11 +261,9 @@ class RationalFunction:
             raise ValueError("numerator must not be identically zero")
         if numer.degree > poles.n:
             raise ValueError(f"numerator degree {numer.degree} exceeds pole count {poles.n}")
-        if numer.degree > 0 and poles.n:
-            zs = numer.roots()
-            gaps = np.abs(zs[:, None] - poles.as_array()[None, :])
-            if gaps.size and float(gaps.min()) < COINCIDENCE_CUTOFF:
-                raise Reducible("a numerator root coincides with a pole")
+        gaps = np.abs(numer.roots()[:, None] - poles.as_array()[None, :])
+        if gaps.size and float(gaps.min()) < COINCIDENCE_CUTOFF:
+            raise Reducible("a numerator root coincides with a pole")
         self.numer = numer
         self.poles = poles
 
@@ -288,15 +281,10 @@ class RationalFunction:
         return self.numer.degree
 
     def zeros(self) -> np.ndarray:
-        if self.numer.degree == 0:
-            return np.empty(0, dtype=np.complex128)
         return self.numer.roots()
 
     def __call__(self, z):
         return rat_eval(self, z)
-
-    def deriv(self, z):
-        return rat_derivative_eval(self, z)
 
 
 def _check_distance(dist: np.ndarray):
@@ -371,8 +359,6 @@ def classify_zeros(r: RationalFunction, where: ZeroLocation) -> bool:
     placed exactly on the circle classify as both inside-or-on and
     outside-or-on.  A zero-free numerator satisfies any region.
     """
-    if where.mode == MODE_UNCONSTRAINED or r.t == 0:
-        return True
     moduli = np.abs(r.zeros())
     if where.mode == MODE_OUTSIDE:
         return bool(np.all(moduli >= where.k - CLASSIFY_BAND))

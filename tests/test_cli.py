@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import pytest
 
@@ -160,6 +161,35 @@ def test_narrow_pole_annulus_exits_one_promptly(tmp_path, capsys):
     assert "SpecInvalid" in err and len(err.splitlines()) == 1
 
 
+# |r| overflows on the unit circle, though every coefficient is finite.
+OVERFLOW_ON_CIRCLE = {"poles": [[3, 0]] * 3, "zeros": [[-2, 0]] * 3, "leading": [1e307, 0]}
+# Expanding (z + 2) times 1e308 overflows the coefficients themselves.
+OVERFLOW_IN_COEFFS = {"poles": [[3, 0]], "zeros": [[-2, 0]], "leading": [1e308, 0]}
+
+
+@pytest.mark.parametrize("command", ["certify", "curves"])
+def test_overflow_on_circle_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_ON_CIRCLE), encoding="utf-8")
+    out = tmp_path / "curve.csv"
+    argv = [command, str(path), "li-upper"] + ([str(out)] if command == "curves" else []) + ["--k", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "ParameterOutOfRange" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [OVERFLOW_ON_CIRCLE, OVERFLOW_IN_COEFFS], ids=["on-circle", "in-coeffs"])
+def test_overflow_prints_no_numpy_warning(tmp_path, capsys, doc):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", str(path), "li-upper", "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # environment and k precedence
 
@@ -168,8 +198,10 @@ def test_grid_env_validation(monkeypatch, extremal_file, capsys):
     monkeypatch.setenv("RATBOUND_GRID", "abc")
     assert main(["certify", extremal_file, "main-upper"]) == 1
     assert "RATBOUND_GRID" in capsys.readouterr().err
-    monkeypatch.setenv("RATBOUND_GRID", "100")
-    assert main(["certify", extremal_file, "main-upper"]) == 1
+    for raw in ("100", "32"):
+        monkeypatch.setenv("RATBOUND_GRID", raw)
+        assert main(["certify", extremal_file, "main-upper"]) == 1
+        assert "RATBOUND_GRID" in capsys.readouterr().err
 
 
 def test_grid_env_is_honoured(monkeypatch, tmp_path, extremal_file):

@@ -7,6 +7,7 @@ import pytest
 
 from ratbound import (
     CircleGrid,
+    DegenerateBound,
     GeneratorSpec,
     HypothesisMismatch,
     SpecInvalid,
@@ -212,6 +213,27 @@ def test_campaign_worst_instance_reproduces():
     verdict = certify(TheoremId.MAIN_UPPER, r, CircleGrid(k, 512))
     assert abs(verdict.min_margin - recorded) <= 1e-12
     assert abs(verdict.min_margin - report.min_margin) <= 1e-12
+
+
+def test_campaign_tally_matches_one_by_one():
+    # With t < n main-upper is violated, so the streamed counts add up real violations.
+    spec = GeneratorSpec(
+        n=3, t=1, zero_region=ZeroLocation.all_outside_or_on(1.5), seed=9, count=25
+    )
+    grid = CircleGrid(1.5, 1024)
+    report = run_campaign(spec, TheoremId.MAIN_UPPER, grid)
+    verdicts, degenerate = [], 0
+    for r in generate(spec):
+        try:
+            verdicts.append(certify(TheoremId.MAIN_UPPER, r, grid))
+        except DegenerateBound:
+            degenerate += 1
+    assert report.violations == sum(v.violations for v in verdicts) > 0
+    assert report.certified == len(verdicts)
+    assert report.degenerate_count == degenerate
+    assert report.skipped_points == sum(v.skipped_points for v in verdicts)
+    assert report.min_margin == report.worst_instance["min_margin"]
+    assert report.min_margin == min(v.min_margin for v in verdicts)
 
 
 def test_campaign_json_is_stable():

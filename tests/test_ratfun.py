@@ -431,12 +431,12 @@ def test_classify_vacuous_cases():
     r = RationalFunction(Polynomial([1.0]), PoleSet([2.0]))
     assert classify_zeros(r, ZeroLocation.all_outside_or_on(1.0))
     assert classify_zeros(r, ZeroLocation.all_inside_or_on(1.0))
-    mixed = RationalFunction.from_zeros([0.5, 2.0], PoleSet([3.0, 4.0]))
-    assert classify_zeros(mixed, ZeroLocation.unconstrained())
 
 
 def test_zero_location_validation():
     with pytest.raises(ValueError):
         ZeroLocation("somewhere", 1.0)
+    with pytest.raises(ValueError):
+        ZeroLocation("unconstrained", 1.0)
     with pytest.raises(ValueError):
         ZeroLocation.all_outside_or_on(0.0)
