@@ -90,7 +90,7 @@ def blaschke_deriv_modulus_on_T1(b: BlaschkeProduct, zs):
     _check_on_unit_circle(zs)
     acc = np.zeros(zs.shape, dtype=np.float64)
     for a in b.poles.poles:
-        acc += (abs(a) ** 2 - 1.0) / np.abs(zs - a) ** 2
+        acc += (np.hypot(a.real, a.imag) ** 2 - 1.0) / np.abs(zs - a) ** 2
     return acc
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import _check_on_unit_circle
-from .circlescan import CircleGrid, _extremum, _pole_circle_guard, min_modulus_on_circle
+from .circlescan import DEFAULT_GRID_COUNT, CircleGrid, _extremum, _pole_circle_guard, min_modulus_on_circle
 from .errors import DegenerateBound, HypothesisViolated, ParameterOutOfRange
 from .ratfun import (
     PoleSet,
@@ -52,10 +52,7 @@ class TheoremId(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "TheoremId":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise KeyError(f"unknown theorem name {name!r}")
+        return cls._value2member_map_[name]
 
 
 @dataclass(frozen=True)
@@ -73,24 +70,29 @@ class HypothesisProfile:
     k_is_one: bool = False
     uses_m: bool = False
     t_is_n: bool = False
-    needs_all_zeros: bool = False
+    # Not derived: the m -> 0 pin moves the upper RHS in no fixed direction.
     needs_boundary_zero: bool = False
+
+    @property
+    def needs_all_zeros(self) -> bool:
+        """Exactly n zeros.  Evaluating the formula as if t = n makes its RHS larger:
+        a stronger claim for a lower bound, which the general formula grants
+        only at t = n, and a weaker one for an upper bound, granted for any t."""
+        return self.direction == "lower" and self.t_is_n
 
 
 _PROFILES = {
     TheoremId.LI_UPPER: HypothesisProfile("upper", k_is_one=True, t_is_n=True),
     TheoremId.LI_LOWER: HypothesisProfile("lower", k_is_one=True),
     TheoremId.AZIZ_SHAH_UPPER_97: HypothesisProfile("upper", k_is_one=True, uses_m=True, t_is_n=True),
-    TheoremId.AZIZ_SHAH_LOWER_97: HypothesisProfile(
-        "lower", k_is_one=True, uses_m=True, t_is_n=True, needs_all_zeros=True
-    ),
+    TheoremId.AZIZ_SHAH_LOWER_97: HypothesisProfile("lower", k_is_one=True, uses_m=True, t_is_n=True),
     TheoremId.AZIZ_ZARGER_99: HypothesisProfile("upper", t_is_n=True),
     TheoremId.AZIZ_SHAH_04: HypothesisProfile("lower"),
-    TheoremId.AZIZ_SHAH_04_COR: HypothesisProfile("lower", t_is_n=True, needs_all_zeros=True),
+    TheoremId.AZIZ_SHAH_04_COR: HypothesisProfile("lower", t_is_n=True),
     TheoremId.MAIN_UPPER: HypothesisProfile("upper", uses_m=True),
     TheoremId.MAIN_UPPER_COR: HypothesisProfile("upper", needs_boundary_zero=True),
     TheoremId.MAIN_LOWER: HypothesisProfile("lower", uses_m=True),
-    TheoremId.MAIN_LOWER_COR: HypothesisProfile("lower", uses_m=True, t_is_n=True, needs_all_zeros=True),
+    TheoremId.MAIN_LOWER_COR: HypothesisProfile("lower", uses_m=True, t_is_n=True),
 }
 
 
@@ -174,7 +176,7 @@ def rhs_value(theorem: TheoremId, bprime, r_abs, ctx: BoundContext):
         gap = ctx.norm - m
         coef = n * (1.0 + k) - 2.0 * t
         # A zero coefficient drops the term outright: at ||r|| = m it is 0 * 0/0.
-        drop = coef * (ra - m) ** 2 / ((1.0 + k) * gap**2) if coef else 0.0
+        drop = coef * (ra - m) ** 2 / ((1.0 + k) * np.float64(gap) ** 2) if coef else 0.0
         out = 0.5 * (bp - drop) * gap
     else:
         out = 0.5 * (bp + (2.0 * t - n * (1.0 + k)) / (1.0 + k)) * (ra + m)
@@ -193,14 +195,15 @@ def _unit_pass(theorem: TheoremId, r: RationalFunction, k: float, grid_count: in
     """
     prof = _PROFILES[theorem]
     m = 0.0
-    if prof.uses_m:
-        m_k = _pinned_k(prof, k)
-        m = min_modulus_on_circle(r, m_k, CircleGrid(m_k, grid_count)).value
-    unit = CircleGrid(1.0, grid_count)
-    _pole_circle_guard(r, 1.0)
-    rv, deriv, bprime = _pole_sums(r, unit.points())
-    r_abs = np.abs(rv)
-    norm = _extremum(r, unit, r_abs, True).value
+    with np.errstate(all="ignore"):
+        if prof.uses_m:
+            m_k = _pinned_k(prof, k)
+            m = min_modulus_on_circle(r, m_k, CircleGrid(m_k, grid_count)).value
+        unit = CircleGrid(1.0, grid_count)
+        _pole_circle_guard(r, 1.0)
+        rv, deriv, bprime = _pole_sums(r, unit.points())
+        r_abs = np.abs(rv)
+        norm = _extremum(r, unit, r_abs, True).value
     if not (np.isfinite(norm) and norm > 0 and np.isfinite(m)):
         raise ParameterOutOfRange(f"instance values leave the double range: sup |r| = {norm!r}, min modulus = {m!r}")
     ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=k)
@@ -218,17 +221,21 @@ def _degenerate_guard(theorem: TheoremId, ctx: BoundContext):
 
 
 def _margins(theorem: TheoremId, ctx: BoundContext, r_abs, deriv, bprime):
-    """|r'|, RHS and margin from |r|, r' and |B'| at unit-circle points."""
-    deriv_abs = np.abs(deriv)
-    rhs = rhs_value(theorem, bprime, r_abs, ctx)
-    margin = rhs - deriv_abs if _PROFILES[theorem].direction == "upper" else deriv_abs - rhs
+    """|r'|, RHS and margin from |r|, r' and |B'| at unit-circle points; ParameterOutOfRange unless finite."""
+    with np.errstate(all="ignore"):
+        deriv_abs = np.abs(deriv)
+        rhs = rhs_value(theorem, bprime, r_abs, ctx)
+        margin = rhs - deriv_abs if _PROFILES[theorem].direction == "upper" else deriv_abs - rhs
+    if not np.all(np.isfinite(margin)):
+        raise ParameterOutOfRange("bound margins leave the double range")
     return deriv_abs, rhs, margin
 
 
 def _point_margins(theorem: TheoremId, r: RationalFunction, ctx: BoundContext, z) -> tuple:
     """|r'|, RHS and margin at one point of the unit circle, as a sweep computes them."""
     zs = np.array([complex(z)])
-    rv, deriv, bprime = _pole_sums(r, zs)
+    with np.errstate(all="ignore"):
+        rv, deriv, bprime = _pole_sums(r, zs)
     _check_on_unit_circle(zs)
     return tuple(float(x[0]) for x in _margins(theorem, ctx, np.abs(rv), deriv, bprime))
 
@@ -293,17 +300,15 @@ def margin_curve(theorem: TheoremId, r: RationalFunction, grid: CircleGrid):
     return _sweep(theorem, r, grid)[1:]
 
 
-def blaschke_offset_family(poles: PoleSet, h: float, alpha: float = 0.0) -> RationalFunction:
-    """The equality family B(z) + h e^(i alpha) as a rational function."""
+def blaschke_offset_family(poles: PoleSet, h: float) -> RationalFunction:
+    """The equality family B(z) + h as a rational function."""
     if not (np.isfinite(h) and h >= 0):
         raise ParameterOutOfRange("offset magnitude h must be a nonnegative real")
     # prod_j (1 - conj(a_j) z) is prod_j (z - conj(a_j)) with its coefficients reversed.
     coeffs = Polynomial.from_roots(np.conj(poles.as_array())).coeffs[::-1]
     wpoly = Polynomial.from_roots(poles.as_array(), 1.0)
-    total = np.zeros(max(coeffs.size, wpoly.coeffs.size), dtype=np.complex128)
-    total[: coeffs.size] += coeffs
-    total[: wpoly.coeffs.size] += h * np.exp(1j * alpha) * wpoly.coeffs
-    return RationalFunction(Polynomial(total), poles)
+    # Both expansions have n + 1 coefficients.
+    return RationalFunction(Polynomial(coeffs + h * wpoly.coeffs), poles)
 
 
 def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
@@ -324,7 +329,7 @@ def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
         raise ParameterOutOfRange("need an integer pole count n >= 1")
     if not (isinstance(t, (int, np.integer)) and 0 <= t <= n):
         raise ParameterOutOfRange("need an integer zero count 0 <= t <= n")
-    if t != n and (prof.needs_all_zeros or prof.t_is_n or prof.k_is_one):
+    if t != n and (prof.t_is_n or prof.k_is_one):
         # A t -> n formula may admit t < n, but it is tight only at t = n,
         # and the offset family B + h always has n zeros.
         raise ParameterOutOfRange(f"the equality family of {theorem.value} has exactly n zeros")
@@ -343,13 +348,13 @@ def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
             raise ParameterOutOfRange("offset magnitude below 1 breaks the zero hypothesis")
         if prof.direction == "lower" and k > 1.0:
             raise ParameterOutOfRange("offset magnitude above 1 breaks the zero hypothesis")
-        r = blaschke_offset_family(poles, float(k), 0.0)
+        r = blaschke_offset_family(poles, float(k))
     return r, complex(1.0, 0.0)
 
 
-def sharpness_gap(theorem: TheoremId, r: RationalFunction, z, k: float = 1.0, grid_count: int = 1024) -> float:
-    """|RHS(z) - |r'(z)|| for one instance; small means the bound is tight."""
+def sharpness_gap(theorem: TheoremId, r: RationalFunction, z, k: float = 1.0) -> float:
+    """|RHS(z) - |r'(z)|| for one instance on the default grid; small means the bound is tight."""
     k = float(k)
     check_hypothesis(theorem, r, k)
-    ctx = build_context(theorem, r, k, grid_count)
+    ctx = build_context(theorem, r, k, DEFAULT_GRID_COUNT)
     return abs(_point_margins(theorem, r, ctx, z)[2])

@@ -49,7 +49,10 @@ class CircleGrid:
         return 2.0 * np.pi * np.arange(self.count) / self.count
 
     def points(self) -> np.ndarray:
-        return self.k * np.exp(1j * self.thetas())
+        return self._points_at(self.thetas())
+
+    def _points_at(self, thetas: np.ndarray) -> np.ndarray:
+        return self.k * np.exp(1j * thetas)
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,14 @@ class CircleScanResult:
     refined: bool
 
 
-def _golden(fun, lo: float, hi: float, maximize: bool):
-    """Section search on [lo, hi] with REFINE_POINTS points per step; returns (theta, value).
+def _golden(r: RationalFunction, grid: CircleGrid, lo: float, hi: float, maximize: bool):
+    """Section search of |r| on the grid's circle over angles [lo, hi]; returns (theta, value).
 
-    ``fun`` maps an array of angles to |r| there.  Each step evaluates it
-    once, at REFINE_POINTS equally spaced interior points of the bracket;
-    the next bracket is the best sample seen so far plus or minus one
-    sub-spacing.  The search stops once the bracket is narrower than
-    REFINE_THETA_TOL, and the value returned is always a real evaluation.
+    Each step evaluates |r| once, at REFINE_POINTS equally spaced
+    interior angles of the bracket; the next bracket is the best sample
+    seen so far plus or minus one sub-spacing.  The search stops once the
+    bracket is narrower than REFINE_THETA_TOL, and the value returned is
+    always a real evaluation.
     The name is kept because the benchmark's tracer wraps this function as
     its ``circlescan.refine`` span.
     """
@@ -77,7 +80,7 @@ def _golden(fun, lo: float, hi: float, maximize: bool):
     while b - a > REFINE_THETA_TOL:
         h = (b - a) / (REFINE_POINTS + 1)
         ts = a + h * offsets
-        fs = sign * fun(ts)
+        fs = sign * np.abs(rat_eval(r, grid._points_at(ts)))
         i = int(np.argmin(fs))
         if fs[i] < best_f:
             best_t, best_f = float(ts[i]), float(fs[i])
@@ -86,10 +89,9 @@ def _golden(fun, lo: float, hi: float, maximize: bool):
 
 
 def _pole_circle_guard(r: RationalFunction, k: float):
-    if r.poles.n:
-        gap = float(np.min(np.abs(np.abs(r.poles.as_array()) - k)))
-        if gap < CIRCLE_MATCH_TOL:
-            raise PoleOnCircle(f"pole modulus within {gap:.3g} of the scan radius {k}")
+    gap = float(np.min(np.abs(np.abs(r.poles.as_array()) - k), initial=np.inf))
+    if gap < CIRCLE_MATCH_TOL:
+        raise PoleOnCircle(f"pole modulus within {gap:.3g} of the scan radius {k}")
 
 
 def _circle_grid(r: RationalFunction, k: float, grid: CircleGrid | None) -> CircleGrid:
@@ -113,11 +115,7 @@ def _extremum(r: RationalFunction, grid: CircleGrid, vals: np.ndarray, maximize:
     if not maximize and float(vals[best]) < ZERO_SNAP:
         return CircleScanResult(0.0, theta, False)
     step = 2.0 * np.pi / grid.count
-
-    def modulus(ts: np.ndarray) -> np.ndarray:
-        return np.abs(rat_eval(r, grid.k * np.exp(1j * ts)))
-
-    theta_ref, val_ref = _golden(modulus, theta - step, theta + step, maximize)
+    theta_ref, val_ref = _golden(r, grid, theta - step, theta + step, maximize)
     # Refinement must never report something the grid already beat.
     if (maximize and val_ref < vals[best]) or (not maximize and val_ref > vals[best]):
         theta_ref, val_ref = theta, float(vals[best])
@@ -152,19 +150,17 @@ def min_modulus_on_circle(r: RationalFunction, k: float, grid: CircleGrid | None
 def winding_zero_count(p: Polynomial, k: float) -> int:
     """Zeros of the polynomial p inside |z| < k by the argument principle.
 
-    The phase of p is sampled on the circle with grid doubling until
-    every increment is below pi/2, which makes the unwrapped total
+    The phase of p is sampled on CircleGrid(k, count) with count doubling
+    until every increment is below pi/2, which makes the unwrapped total
     exact; failing to get there before the doubling cap means a root is
     on (or numerically on) the contour.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no winding number")
-    if p.degree == 0:
-        return 0
     dp = p.derivative()
     count = WINDING_START
     while count <= WINDING_MAX:
-        zs = k * np.exp(2j * np.pi * np.arange(count) / count)
+        zs = CircleGrid(k, count).points()
         vals = p(zs)
         if np.any(vals == 0):
             raise ZeroOnContour("a contour sample is an exact numerator root")

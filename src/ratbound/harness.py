@@ -55,8 +55,9 @@ class GeneratorSpec:
         if not (isinstance(self.count, int) and self.count >= 1):
             raise SpecInvalid("instance count must be an integer >= 1")
         lo, hi = self.pole_annulus
-        if not (np.isfinite(lo) and np.isfinite(hi) and HARD_POLE_FLOOR <= lo < hi):
-            raise SpecInvalid(f"pole annulus needs {HARD_POLE_FLOOR} <= r_min < r_max")
+        # CounterRng.next_radius squares r_max.
+        if not (np.isfinite(lo) and np.isfinite(float(hi) * float(hi)) and HARD_POLE_FLOOR <= lo < hi):
+            raise SpecInvalid(f"pole annulus needs {HARD_POLE_FLOOR} <= r_min < r_max with r_max**2 finite")
         if lo < COMFORTABLE_POLE_FLOOR:
             warnings.warn(
                 f"pole annulus floor {lo} below {COMFORTABLE_POLE_FLOOR} degrades conditioning",

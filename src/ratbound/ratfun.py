@@ -34,7 +34,7 @@ def _as_complex_array(values, what: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=np.complex128))
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must have finite real and imaginary parts")
     return arr
 
@@ -66,8 +66,7 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots, leading=1.0) -> "Polynomial":
         """Expand prod (z - b_j) scaled by ``leading``; roots become the cache."""
-        items = list(np.atleast_1d(np.asarray(roots, dtype=np.complex128)))
-        bs = _as_complex_array(items, "roots") if items else np.empty(0, np.complex128)
+        bs = _as_complex_array(roots, "roots")
         lead = _finite_scalar(leading, "leading coefficient")
         if lead == 0:
             raise ValueError("leading coefficient must be nonzero")
@@ -210,9 +209,8 @@ class PoleSet:
     poles: tuple
 
     def __init__(self, poles=()):
-        items = list(poles)
-        arr = _as_complex_array(items, "poles") if items else np.empty(0, np.complex128)
-        if arr.size and np.any(np.abs(arr) <= 1.0):
+        arr = _as_complex_array(list(poles), "poles")
+        if np.any(np.abs(arr) <= 1.0):
             worst = arr[np.argmin(np.abs(arr))]
             raise ValueError(f"pole {worst} has modulus <= 1")
         object.__setattr__(self, "poles", tuple(complex(a) for a in arr))
@@ -332,7 +330,7 @@ def _pole_sums(r: RationalFunction, zs: np.ndarray) -> tuple:
         d = zs - a
         dist = np.abs(d)
         _check_distance(dist)
-        bprime += (abs(a) ** 2 - 1.0) / dist**2
+        bprime += (np.hypot(a.real, a.imag) ** 2 - 1.0) / dist**2
         logw += 1.0 / d
         den = den * d
     pv = _horner(r.numer.coeffs, zs)

@@ -1,6 +1,7 @@
 """Bound arms, hypothesis gating, certification sweeps, and equality families."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from ratbound import (
     sharpness_gap,
     sup_modulus_on_circle,
 )
-from ratbound.bounds import profile
+from ratbound.bounds import MARGIN_TOL, profile
 from ratbound.harness import GeneratorSpec, generate, instance_from_dict
 
 UPPER_IDS = (
@@ -312,6 +313,35 @@ def test_hypothesis_zero_count_rules():
             check_hypothesis(theorem, partial, 1.0)
 
 
+def scaled_min_margin(theorem, r, k):
+    """Worst margin / max(1, ||r||) of the id's formula on the unit grid, no hypothesis checked."""
+    ctx = build_context(theorem, r, k, 1024)
+    zs = CircleGrid(1.0, 1024).points()
+    bprime = blaschke_deriv_modulus_on_T1(BlaschkeProduct(r.poles), zs)
+    rhs = rhs_value(theorem, bprime, np.abs(rat_eval(r, zs)), ctx)
+    deriv = np.abs(rat_derivative_eval(r, zs))
+    margin = rhs - deriv if profile(theorem).direction == "upper" else deriv - rhs
+    return float(margin.min()) / max(1.0, ctx.norm)
+
+
+def test_all_zeros_hypothesis_is_needed_by_lower_ids_only():
+    # Instances with t = n - 1 that meet every other hypothesis of the id.
+    # The t -> n pin claims more than the lower formula grants there, and
+    # less than the upper formula grants.
+    for theorem in TheoremId:
+        prof = profile(theorem)
+        if not prof.t_is_n:
+            continue
+        k = 1.0 if prof.k_is_one else (1.5 if prof.direction == "upper" else 0.7)
+        region = hypothesis_zero_location(theorem, k)
+        worst = min(
+            scaled_min_margin(theorem, r, k)
+            for n in (2, 3, 6)
+            for r in generate(GeneratorSpec(n=n, t=n - 1, zero_region=region, seed=4610 + n, count=10))
+        )
+        assert prof.needs_all_zeros == (worst < -MARGIN_TOL), (theorem, worst)
+
+
 def test_hypothesis_boundary_zero_rule():
     k = 1.5
     off = RationalFunction.from_zeros([2.5, 3.0], PoleSet([4.0, 5.0]))
@@ -501,6 +531,22 @@ def test_certify_refuses_pole_next_to_unit_circle():
     r = RationalFunction(Polynomial([1.0]), PoleSet([1.0 + 1e-13]))
     with pytest.raises(PoleOnCircle):
         certify(TheoremId.LI_UPPER, r, CircleGrid(1.0, 1024))
+
+
+@pytest.mark.parametrize(
+    "theorem, k, r",
+    [
+        (TheoremId.LI_UPPER, 1.0, RationalFunction.from_zeros([-2] * 3, PoleSet([3] * 3), 1e307)),
+        (TheoremId.LI_UPPER, 1.0, RationalFunction.from_zeros([-2], PoleSet([1e200]))),
+        (TheoremId.MAIN_UPPER, 1.5, RationalFunction.from_zeros([1e200], PoleSet([3]))),
+    ],
+    ids=["leading-1e307", "pole-1e200", "zero-1e200"],
+)
+def test_certify_refuses_overflow_without_warnings(theorem, k, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange):
+            certify(theorem, r, CircleGrid(k, 1024))
 
 
 def test_certify_extremal_tight_at_angle_zero():

@@ -1,6 +1,7 @@
 """Circle extrema, winding counts, and the log-derivative facts they certify."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,19 @@ def test_winding_rejects_root_on_contour():
     p = Polynomial.from_roots([1.0, 0.3])
     with pytest.raises(ZeroOnContour):
         winding_zero_count(p, 1.0)
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.0, math.nan, math.inf])
+def test_winding_refuses_bad_radius(k):
+    # The radius check comes before any sampling: no grid doubling, no warnings.
+    p = Polynomial.from_roots([0.5, 2.0, -0.3j])
+    r = RationalFunction(p, PoleSet([3.0, 3.0, 3.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid radius"):
+            winding_zero_count(p, k)
+        with pytest.raises(ValueError, match="grid radius"):
+            count_zeros_in_disk(r, k)
 
 
 def test_count_zeros_in_disk_uses_numerator():

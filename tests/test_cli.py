@@ -190,6 +190,42 @@ def test_overflow_prints_no_numpy_warning(tmp_path, capsys, doc):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+BIG_ZERO = {"poles": [[3, 0]], "zeros": [[1e200, 0]], "leading": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ({"poles": [[3, 0]], "zeros": [[-2, 0]], "leading": [1]}, ["certify", "{inst}", "main-upper"]),
+        (None, ["campaign", "--theorem", "main-lower", "--n", "3", "--k", "0.7", "--count", "3",
+                "--pole-max", "1e160", "--out", "{dir}/report.json"]),
+        ({"poles": [[1e200, 0]], "zeros": [[-2, 0]], "leading": [1, 0]}, ["certify", "{inst}", "li-upper"]),
+        ({"poles": [[3, 1e300]], "zeros": [[-2, 0]], "leading": [1, 0]}, ["certify", "{inst}", "li-upper"]),
+        (BIG_ZERO, ["certify", "{inst}", "main-upper", "--k", "1.5"]),
+        (BIG_ZERO, ["curves", "{inst}", "main-upper", "{dir}/curve.csv", "--k", "1.5"]),
+    ],
+    ids=["leading-one-part", "pole-max-squared-overflows", "pole-1e200", "pole-imag-1e300",
+         "big-zero-certify", "big-zero-curves"],
+)
+def test_malformed_or_overflowing_input_exits_one(tmp_path, capsys, doc, argv):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([a.format(inst=inst, dir=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "curve.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_big_zero_still_certifies_the_unrefined_arm(tmp_path, capsys):
+    # li-upper drops the squared term, so nothing overflows.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(BIG_ZERO), encoding="utf-8")
+    assert main(["certify", str(path), "li-upper"]) == 0
+    assert "violations   0" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # environment and k precedence
 
