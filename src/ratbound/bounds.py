@@ -266,10 +266,10 @@ class BoundVerdict:
 
 
 def _sweep(theorem: TheoremId, r: RationalFunction, grid: CircleGrid):
-    """Context, unit-circle angles, |r'|, RHS and margins of one grid sweep."""
+    """Context, the unit-circle grid, |r'|, RHS and margins of one grid sweep."""
     check_hypothesis(theorem, r, grid.k)
     ctx, unit, r_abs, deriv, bprime = _unit_pass(theorem, r, grid.k, grid.count)
-    return (ctx, unit.thetas()) + _margins(theorem, ctx, r_abs, deriv, bprime)
+    return (ctx, unit) + _margins(theorem, ctx, r_abs, deriv, bprime)
 
 
 def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundVerdict:
@@ -279,14 +279,14 @@ def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundV
     always evaluated on the unit circle with grid.count points.  Raises
     HypothesisViolated or DegenerateBound rather than certifying junk.
     """
-    ctx, thetas, _, _, margin = _sweep(theorem, r, grid)
+    ctx, unit, _, _, margin = _sweep(theorem, r, grid)
     worst = int(np.argmin(margin))
     tol = MARGIN_TOL * max(1.0, ctx.norm)
     return BoundVerdict(
         theorem=theorem,
         context=ctx,
         min_margin=float(margin[worst]),
-        worst_theta=float(thetas[worst]),
+        worst_theta=unit.theta(worst),
         violations=int(np.sum(margin < -tol)),
         # The norm scan refuses poles within 1e-9 of the unit circle before
         # the grid pass, so no grid point comes within the 1e-12 pole cutoff
@@ -297,7 +297,8 @@ def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundV
 
 def margin_curve(theorem: TheoremId, r: RationalFunction, grid: CircleGrid):
     """Rows (theta, |r'|, RHS, margin), one per grid point on the unit circle."""
-    return _sweep(theorem, r, grid)[1:]
+    _, unit, deriv_abs, rhs, margin = _sweep(theorem, r, grid)
+    return unit.thetas(), deriv_abs, rhs, margin
 
 
 def blaschke_offset_family(poles: PoleSet, h: float) -> RationalFunction:

@@ -48,6 +48,10 @@ class CircleGrid:
     def thetas(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.count) / self.count
 
+    def theta(self, i: int) -> float:
+        """thetas()[i], bit for bit, without building the array."""
+        return 2.0 * np.pi * i / self.count
+
     def points(self) -> np.ndarray:
         return self._points_at(self.thetas())
 
@@ -111,7 +115,7 @@ def _extremum(r: RationalFunction, grid: CircleGrid, vals: np.ndarray, maximize:
     an exact, unrefined 0.0.
     """
     best = int(np.argmax(vals) if maximize else np.argmin(vals))
-    theta = float(grid.thetas()[best])
+    theta = grid.theta(best)
     if not maximize and float(vals[best]) < ZERO_SNAP:
         return CircleScanResult(0.0, theta, False)
     step = 2.0 * np.pi / grid.count

@@ -103,9 +103,8 @@ def _write_out(path: str, chunks) -> bool:
 def _csv_chunks(columns):
     """The curves CSV as text blocks: the header, then _CSV_BLOCK_ROWS rows at a time."""
     yield "theta,deriv_modulus,bound_rhs,margin\n"
-    table = np.column_stack(columns)
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = np.column_stack([col[start : start + _CSV_BLOCK_ROWS] for col in columns])
         yield _CSV_ROW * len(block) % tuple(block.ravel().tolist())
 
 

@@ -28,6 +28,11 @@ CLASSIFY_BAND = 1e-9
 # Residual acceptance for the simultaneous root iteration.
 ROOT_RESIDUAL_FACTOR = 1e-10
 ROOT_SWEEP_BUDGET = 200
+# Points per slice of a grid pass.  A complex temporary of one block is
+# 128 KiB, so a pass over the poles stays in a 2 MiB per-core L2 cache, and
+# below numpy's 256 KiB temporary-elision size, so a point's bits never
+# depend on the size of the array it came in.
+EVAL_BLOCK = 8192
 
 
 def _as_complex_array(values, what: str) -> np.ndarray:
@@ -309,10 +314,31 @@ def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
     return den
 
 
+def _in_blocks(kernel, zs: np.ndarray) -> tuple:
+    """The arrays of ``kernel(zs)`` for the flat array zs, taken EVAL_BLOCK points at a time.
+
+    ``kernel`` maps a flat slice of points to a tuple of arrays of the same
+    length.  Each slice's results are written into outputs allocated once;
+    an array of at most one block goes to the kernel directly.
+    """
+    if zs.size <= EVAL_BLOCK:
+        return kernel(zs)
+    outs = None
+    for start in range(0, zs.size, EVAL_BLOCK):
+        block = slice(start, start + EVAL_BLOCK)
+        parts = kernel(zs[block])
+        if outs is None:
+            outs = tuple(np.empty(zs.shape, dtype=part.dtype) for part in parts)
+        for out, part in zip(outs, parts):
+            out[block] = part
+    return outs
+
+
 @pointwise
 def rat_eval(r: RationalFunction, zs):
     """Evaluate r(z); the denominator is kept in factored form."""
-    return _horner(r.numer.coeffs, zs) / _denominator(r, zs)
+    coeffs = r.numer.coeffs
+    return _in_blocks(lambda block: (_horner(coeffs, block) / _denominator(r, block),), zs)[0]
 
 
 def _pole_sums(r: RationalFunction, zs: np.ndarray) -> tuple:
@@ -323,19 +349,27 @@ def _pole_sums(r: RationalFunction, zs: np.ndarray) -> tuple:
     Every value is computed in the operation order of rat_eval and
     blaschke_deriv_modulus_on_T1, so it equals theirs bit for bit.
     """
-    den = np.ones(zs.shape, dtype=np.complex128)
-    logw = np.zeros(zs.shape, dtype=np.complex128)
-    bprime = np.zeros(zs.shape, dtype=np.float64)
-    for a in r.poles.poles:
-        d = zs - a
-        dist = np.abs(d)
-        _check_distance(dist)
-        bprime += (np.hypot(a.real, a.imag) ** 2 - 1.0) / dist**2
-        logw += 1.0 / d
-        den = den * d
-    pv = _horner(r.numer.coeffs, zs)
-    dv = _horner(r.numer.derivative().coeffs, zs)
-    return pv / den, (dv - pv * logw) / den, bprime
+    poles = r.poles.poles
+    weights = [np.hypot(a.real, a.imag) ** 2 - 1.0 for a in poles]
+    coeffs = r.numer.coeffs
+    dcoeffs = r.numer.derivative().coeffs
+
+    def kernel(block):
+        den = np.ones(block.shape, dtype=np.complex128)
+        logw = np.zeros(block.shape, dtype=np.complex128)
+        bprime = np.zeros(block.shape, dtype=np.float64)
+        for a, weight in zip(poles, weights):
+            d = block - a
+            dist = np.abs(d)
+            _check_distance(dist)
+            bprime += weight / dist**2
+            logw += 1.0 / d
+            den = den * d
+        pv = _horner(coeffs, block)
+        dv = _horner(dcoeffs, block)
+        return pv / den, (dv - pv * logw) / den, bprime
+
+    return _in_blocks(kernel, zs)
 
 
 @pointwise

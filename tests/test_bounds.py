@@ -1,6 +1,7 @@
 """Bound arms, hypothesis gating, certification sweeps, and equality families."""
 
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -591,6 +592,21 @@ def test_certify_random_instances_all_theorems():
         for r in generate(spec):
             verdict = certify(theorem, r, CircleGrid(k, 1024))
             assert verdict.violations == 0, (theorem, verdict.min_margin)
+
+
+def test_wide_certify_stays_in_a_few_megabytes():
+    # Grid passes run EVAL_BLOCK points at a time; one pass over the whole
+    # 65536-point grid peaks above 10 MiB with its n = 24 pole temporaries.
+    spec = GeneratorSpec(n=24, t=24, zero_region=ZeroLocation.all_inside_or_on(0.7), seed=4600, count=1)
+    (r,) = generate(spec)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        certify(TheoremId.MAIN_LOWER, r, CircleGrid(0.7, 65536))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 6 * 2**20
 
 
 def test_certify_boundary_zero_corollary():

@@ -70,6 +70,12 @@ def test_grid_validation():
         CircleGrid(1.0, 32)  # below the floor
 
 
+@pytest.mark.parametrize("count", [64, 65536])
+def test_grid_theta_is_the_array_element(count):
+    grid = CircleGrid(1.0, count)
+    assert [grid.theta(i) for i in range(count)] == grid.thetas().tolist()
+
+
 # ---------------------------------------------------------------------------
 # sup / min scans
 

@@ -20,7 +20,8 @@ from ratbound import (
     rat_derivative_eval,
     rat_eval,
 )
-from ratbound.ratfun import _pole_sums
+from ratbound import ratfun
+from ratbound.ratfun import EVAL_BLOCK, _pole_sums
 
 
 def unit_point(theta: float) -> complex:
@@ -277,6 +278,52 @@ def test_rat_eval_array_matches_point_evaluation(count):
         values = rat_eval(r, zs)
         for i in range(0, count, count // 256):
             assert values[i] == rat_eval(r, complex(zs[i])), (n, i)
+
+
+@pytest.mark.parametrize("count", [EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 20000, 65536])
+def test_blocked_passes_match_unblocked_and_single_points(count, monkeypatch):
+    rng = CounterRng(9500 + count)
+    poles = PoleSet([(1.1 + 1.9 * rng.next_float()) * unit_point(2 * np.pi * rng.next_float()) for _ in range(24)])
+    zeros = [2.0 * rng.next_float() * unit_point(2 * np.pi * rng.next_float()) for _ in range(24)]
+    r = RationalFunction.from_zeros(zeros, poles, 0.5 + rng.next_float())
+    zs = np.exp(2j * np.pi * np.arange(count) / count)
+    blocked = _pole_sums(r, zs) + (rat_eval(r, zs),)
+    with monkeypatch.context() as patch:
+        patch.setattr(ratfun, "EVAL_BLOCK", count)
+        whole = _pole_sums(r, zs) + (rat_eval(r, zs),)
+    for got, want in zip(blocked, whole):
+        assert got.dtype == want.dtype and got.shape == (count,)
+        assert np.array_equal(got, want)
+    # The first, last and block-edge points and a spread of others, each alone.
+    picks = sorted({0, count - 1, *range(EVAL_BLOCK - 1, count, EVAL_BLOCK), *range(0, count, count // 97)})
+    for i in picks:
+        alone = _pole_sums(r, zs[i : i + 1]) + (rat_eval(r, zs[i : i + 1]),)
+        assert all(got[i] == one[0] for got, one in zip(blocked, alone)), i
+        assert blocked[3][i] == rat_eval(r, complex(zs[i]))
+
+
+def test_blocked_passes_keep_the_shape_of_a_2d_input(monkeypatch):
+    r = RationalFunction.from_zeros([0.5, -0.3j, 1.5], PoleSet([2.0, -3.0j, 1.2 + 1.2j]), 0.8)
+    zs = np.exp(2j * np.pi * np.arange(25200) / 25200).reshape(7, 3600)
+    blocked = rat_eval(r, zs), rat_derivative_eval(r, zs)
+    with monkeypatch.context() as patch:
+        patch.setattr(ratfun, "EVAL_BLOCK", zs.size)
+        whole = rat_eval(r, zs), rat_derivative_eval(r, zs)
+    for got, want in zip(blocked, whole):
+        assert got.shape == zs.shape and np.array_equal(got, want)
+    for i, j in [(0, 0), (2, 991), (4, 2000), (6, 3599)]:
+        assert blocked[0][i, j] == rat_eval(r, complex(zs[i, j]))
+        assert blocked[1][i, j] == rat_derivative_eval(r, complex(zs[i, j]))
+
+
+def test_near_pole_in_the_final_partial_block_is_rejected():
+    r = RationalFunction.from_zeros([0.5], PoleSet([2.0, -3.0j]))
+    zs = np.exp(2j * np.pi * np.arange(20000) / 20000)
+    zs[-1] = 2.0 + 1e-13
+    with pytest.raises(NearPole):
+        _pole_sums(r, zs)
+    with pytest.raises(NearPole):
+        rat_eval(r, zs)
 
 
 def test_pole_sums_near_pole_rejected():
