@@ -18,17 +18,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OffCircle
+from .errors import OffCircle, ParameterOutOfRange
 from .ratfun import PoleSet, RationalFunction, _check_distance, _pole_sums, pointwise
 
 # How far |z| may sit from 1 before circle-only formulas are refused.
 UNIT_CIRCLE_TOL = 1e-12
 
 
-def _check_on_unit_circle(flat: np.ndarray):
-    drift = float(np.max(np.abs(np.abs(flat) - 1.0))) if flat.size else 0.0
+def _check_on_unit_circle(z):
+    drift = float(np.max(np.abs(np.abs(z) - 1.0), initial=0.0))
     if drift > UNIT_CIRCLE_TOL:
         raise OffCircle(f"point off the unit circle by {drift:.3g}")
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ParameterOutOfRange(f"{what} leave the double range")
+    return values
 
 
 class BlaschkeProduct:
@@ -85,13 +91,15 @@ def blaschke_deriv_modulus_on_T1(b: BlaschkeProduct, zs):
 
     Returns a strictly positive real for a nonempty pole set and 0.0
     for the empty product.  Raises OffCircle when |z| strays from 1 by
-    more than 1e-12.
+    more than 1e-12, and ParameterOutOfRange when a pole is so large
+    (above about 1.3e154) that a term overflows.
     """
     _check_on_unit_circle(zs)
     acc = np.zeros(zs.shape, dtype=np.float64)
-    for a in b.poles.poles:
-        acc += (np.hypot(a.real, a.imag) ** 2 - 1.0) / np.abs(zs - a) ** 2
-    return acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in b.poles.poles:
+            acc += (np.hypot(a.real, a.imag) ** 2 - 1.0) / np.abs(zs - a) ** 2
+    return _finite(acc, "|B'(z)| values")
 
 
 @pointwise
@@ -100,7 +108,8 @@ def star_transform_deriv_modulus(r: RationalFunction, zs):
 
     Uses the circle identity |(r*)'(z)| = | |B'(z)| r(z) - z r'(z) |,
     which avoids differentiating the conjugated argument numerically.
+    Raises ParameterOutOfRange when a value leaves the double range.
     """
     _check_on_unit_circle(zs)
     rv, deriv, bprime = _pole_sums(r, zs)
-    return np.abs(bprime * rv - zs * deriv)
+    return _finite(np.abs(bprime * rv - zs * deriv), "|(r*)'(z)| values")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import _check_on_unit_circle
+from .blaschke import _check_on_unit_circle, _finite
 from .circlescan import DEFAULT_GRID_COUNT, CircleGrid, _extremum, _pole_circle_guard, min_modulus_on_circle
 from .errors import DegenerateBound, HypothesisViolated, ParameterOutOfRange
 from .ratfun import (
@@ -226,18 +226,15 @@ def _margins(theorem: TheoremId, ctx: BoundContext, r_abs, deriv, bprime):
         deriv_abs = np.abs(deriv)
         rhs = rhs_value(theorem, bprime, r_abs, ctx)
         margin = rhs - deriv_abs if _PROFILES[theorem].direction == "upper" else deriv_abs - rhs
-    if not np.all(np.isfinite(margin)):
-        raise ParameterOutOfRange("bound margins leave the double range")
-    return deriv_abs, rhs, margin
+    return deriv_abs, rhs, _finite(margin, "bound margins")
 
 
 def _point_margins(theorem: TheoremId, r: RationalFunction, ctx: BoundContext, z) -> tuple:
     """|r'|, RHS and margin at one point of the unit circle, as a sweep computes them."""
-    zs = np.array([complex(z)])
     with np.errstate(all="ignore"):
-        rv, deriv, bprime = _pole_sums(r, zs)
-    _check_on_unit_circle(zs)
-    return tuple(float(x[0]) for x in _margins(theorem, ctx, np.abs(rv), deriv, bprime))
+        rv, deriv, bprime = _pole_sums(r, z)
+    _check_on_unit_circle(z)
+    return tuple(float(x) for x in _margins(theorem, ctx, np.abs(rv), deriv, bprime))
 
 
 def bound_rhs(theorem: TheoremId, ctx: BoundContext, r: RationalFunction, z) -> float:

@@ -193,10 +193,9 @@ def count_zeros_in_disk(r: RationalFunction, k: float) -> int:
 
 def log_derivative_real_part(r: RationalFunction, z) -> float:
     """Re(z r'(z) / r(z)) for a point z on the unit circle."""
-    zs = np.array([complex(z)])
-    _check_on_unit_circle(zs)
-    rv, deriv, _ = _pole_sums(r, zs)
-    zc, rv, deriv = zs.item(), rv.item(), deriv.item()
+    z = complex(z)
+    _check_on_unit_circle(z)
+    rv, deriv, _ = _pole_sums(r, z)
     if abs(rv) <= 1e-10:
         raise NearZeroOfR(f"|r(z)| = {abs(rv):.3g} too small for a log derivative")
-    return float((zc * deriv / rv).real)
+    return float((z * deriv / rv).real)

@@ -115,15 +115,33 @@ class Polynomial:
 
 
 def pointwise(fn):
-    """Let ``fn(obj, zs)``, written for a flat complex array, take any z.
+    """Let ``fn(obj, zs)``, a kernel written for a flat complex array, take any z.
 
-    A scalar z comes back as a Python scalar; an array keeps its shape.
+    The kernel returns one array or a tuple of arrays, one value per point.
+    It sees at most EVAL_BLOCK points per call: a larger input is taken a
+    block at a time, each block's values written into outputs allocated
+    once, and an input of at most one block goes to the kernel in one call.
+    A scalar z comes back as Python scalars; an array keeps its shape.
     """
 
     @functools.wraps(fn)
     def wrapper(obj, z):
         zs = np.asarray(z, dtype=np.complex128)
-        out = fn(obj, zs.reshape(-1))
+        flat = zs.reshape(-1)
+        out = fn(obj, flat[:EVAL_BLOCK])
+        if flat.size > EVAL_BLOCK:
+            single = not isinstance(out, tuple)
+            parts = (out,) if single else out
+            whole = tuple(np.empty(flat.shape, dtype=part.dtype) for part in parts)
+            for start in range(0, flat.size, EVAL_BLOCK):
+                if start:
+                    out = fn(obj, flat[start : start + EVAL_BLOCK])
+                    parts = (out,) if single else out
+                for dest, part in zip(whole, parts):
+                    dest[start : start + EVAL_BLOCK] = part
+            out = whole[0] if single else whole
+        if isinstance(out, tuple):
+            return tuple(part.item() if zs.ndim == 0 else part.reshape(zs.shape) for part in out)
         return out.item() if zs.ndim == 0 else out.reshape(zs.shape)
 
     return wrapper
@@ -166,7 +184,7 @@ def _aberth_sweeps(coeffs: np.ndarray, guesses: np.ndarray, budget: int) -> np.n
     return x
 
 
-def poly_roots(p: Polynomial, sweep_budget: int = ROOT_SWEEP_BUDGET) -> np.ndarray:
+def poly_roots(p: Polynomial) -> np.ndarray:
     """All roots of ``p`` counted with multiplicity.
 
     The roots are found by simultaneous iteration started on a circle,
@@ -194,13 +212,13 @@ def poly_roots(p: Polynomial, sweep_budget: int = ROOT_SWEEP_BUDGET) -> np.ndarr
         radius = float(np.abs(coeffs[0] / coeffs[-1]) ** (1.0 / d))
         radius = min(max(radius, 1e-8), 1e8)
         angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.7 / d
-        found = _aberth_sweeps(coeffs, radius * np.exp(1j * angles), sweep_budget)
+        found = _aberth_sweeps(coeffs, radius * np.exp(1j * angles), ROOT_SWEEP_BUDGET)
         scale = float(np.max(np.abs(coeffs)))
         resid = np.abs(_horner(coeffs, found))
         allowed = ROOT_RESIDUAL_FACTOR * scale * np.maximum(1.0, np.abs(found)) ** d
         if np.any(resid > allowed):
             raise NonConvergence(
-                f"root residual {float(np.max(resid / allowed)):.3g}x over budget after {sweep_budget} sweeps"
+                f"root residual {float(np.max(resid / allowed)):.3g}x over budget after {ROOT_SWEEP_BUDGET} sweeps"
             )
         roots = np.concatenate([origin, found])
     order = np.lexsort((roots.imag, roots.real))
@@ -314,68 +332,44 @@ def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
     return den
 
 
-def _in_blocks(kernel, zs: np.ndarray) -> tuple:
-    """The arrays of ``kernel(zs)`` for the flat array zs, taken EVAL_BLOCK points at a time.
-
-    ``kernel`` maps a flat slice of points to a tuple of arrays of the same
-    length.  Each slice's results are written into outputs allocated once;
-    an array of at most one block goes to the kernel directly.
-    """
-    if zs.size <= EVAL_BLOCK:
-        return kernel(zs)
-    outs = None
-    for start in range(0, zs.size, EVAL_BLOCK):
-        block = slice(start, start + EVAL_BLOCK)
-        parts = kernel(zs[block])
-        if outs is None:
-            outs = tuple(np.empty(zs.shape, dtype=part.dtype) for part in parts)
-        for out, part in zip(outs, parts):
-            out[block] = part
-    return outs
-
-
 @pointwise
 def rat_eval(r: RationalFunction, zs):
     """Evaluate r(z); the denominator is kept in factored form."""
-    coeffs = r.numer.coeffs
-    return _in_blocks(lambda block: (_horner(coeffs, block) / _denominator(r, block),), zs)[0]
+    return _horner(r.numer.coeffs, zs) / _denominator(r, zs)
 
 
-def _pole_sums(r: RationalFunction, zs: np.ndarray) -> tuple:
-    """r(z), r'(z) and sum_j (|a_j|^2 - 1)/|z - a_j|^2 at the flat array zs.
+@pointwise
+def _pole_sums(r: RationalFunction, zs):
+    """r(z), r'(z) and sum_j (|a_j|^2 - 1)/|z - a_j|^2.
 
     One loop over the poles: for d = z - a_j, |d| feeds the NearPole check
     and the last sum, which is |B'(z)| on |z| = 1, and 1/d feeds w'/w.
     Every value is computed in the operation order of rat_eval and
-    blaschke_deriv_modulus_on_T1, so it equals theirs bit for bit.
+    blaschke_deriv_modulus_on_T1, so it equals theirs bit for bit.  The
+    loop runs with overflow and invalid-operation warnings off: the |B'|
+    terms of a pole above about 1.3e154 overflow to inf or nan, which r
+    and r' do not use, and the callers that need |B'| refuse a value that
+    is not finite.
     """
-    poles = r.poles.poles
-    weights = [np.hypot(a.real, a.imag) ** 2 - 1.0 for a in poles]
-    coeffs = r.numer.coeffs
-    dcoeffs = r.numer.derivative().coeffs
-
-    def kernel(block):
-        den = np.ones(block.shape, dtype=np.complex128)
-        logw = np.zeros(block.shape, dtype=np.complex128)
-        bprime = np.zeros(block.shape, dtype=np.float64)
-        for a, weight in zip(poles, weights):
-            d = block - a
+    den = np.ones(zs.shape, dtype=np.complex128)
+    logw = np.zeros(zs.shape, dtype=np.complex128)
+    bprime = np.zeros(zs.shape, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in r.poles.poles:
+            d = zs - a
             dist = np.abs(d)
             _check_distance(dist)
-            bprime += weight / dist**2
+            bprime += (np.hypot(a.real, a.imag) ** 2 - 1.0) / dist**2
             logw += 1.0 / d
             den = den * d
-        pv = _horner(coeffs, block)
-        dv = _horner(dcoeffs, block)
-        return pv / den, (dv - pv * logw) / den, bprime
-
-    return _in_blocks(kernel, zs)
+    pv = _horner(r.numer.coeffs, zs)
+    dv = _horner(r.numer.derivative().coeffs, zs)
+    return pv / den, (dv - pv * logw) / den, bprime
 
 
-@pointwise
-def rat_derivative_eval(r: RationalFunction, zs):
+def rat_derivative_eval(r: RationalFunction, z):
     """Evaluate r'(z) by the quotient rule, r' = (p' - p * w'/w) / w."""
-    return _pole_sums(r, zs)[1]
+    return _pole_sums(r, z)[1]
 
 
 def _zeros_on_circle(r: RationalFunction, k: float) -> np.ndarray:

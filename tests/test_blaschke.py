@@ -1,5 +1,8 @@
 """Blaschke product identities on the unit circle, checked against finite differences."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from ratbound import (
     CounterRng,
     NearPole,
     OffCircle,
+    ParameterOutOfRange,
     PoleSet,
     Polynomial,
     RationalFunction,
@@ -73,6 +77,45 @@ def test_eval_array_matches_point_evaluation(count):
     values = blaschke_eval(b, zs)
     for i in range(0, count, count // 256):
         assert values[i] == blaschke_eval(b, complex(zs[i])), i
+
+
+def test_wide_eval_holds_its_output_and_a_few_blocks():
+    # pointwise evaluates EVAL_BLOCK points at a time; over the whole input
+    # each of the n factor steps makes temporaries as large as the output.
+    rng = CounterRng(2400)
+    b = BlaschkeProduct(PoleSet([rng.next_radius(1.1, 3.0) * np.exp(1j * rng.next_angle()) for _ in range(24)]))
+    zs = np.exp(2j * np.pi * np.arange(1 << 20) / (1 << 20))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        blaschke_eval(b, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 24 * 2**20
+
+
+def test_plain_list_of_poles_and_call_syntax():
+    b = BlaschkeProduct([2.0, -3.0j])
+    assert b.poles == PoleSet([2.0, -3.0j])
+    r = RationalFunction.from_zeros([0.5], b.poles)
+    z = unit_point(0.4)
+    assert b(z) == blaschke_eval(b, z)
+    assert r(z) == rat_eval(r, z)
+
+
+def test_huge_pole_refused_without_warnings():
+    # |a|^2 overflows for a pole above about 1.3e154, so |B'| is not a
+    # double; r' does not use it and keeps its value.
+    poles = PoleSet([1e200])
+    r = RationalFunction.from_zeros([-2.0], poles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange):
+            blaschke_deriv_modulus_on_T1(BlaschkeProduct(poles), 1.0)
+        with pytest.raises(ParameterOutOfRange):
+            star_transform_deriv_modulus(r, 1.0)
+        assert abs(rat_derivative_eval(r, 1.0) + 1e-200) <= 1e-215
 
 
 def test_eval_near_pole_rejected():

@@ -762,3 +762,12 @@ def test_make_extremal_parameter_gating():
         make_extremal(TheoremId.LI_UPPER, 2.0, 0.5, 1, 1)  # offset below 1
     with pytest.raises(ParameterOutOfRange):
         make_extremal(TheoremId.AZIZ_SHAH_LOWER_97, 2.0, 1.5, 1, 1)  # offset above 1
+    for t, n in [(1, 2.5), (0, -1), (1.5, 2), (-1, 2)]:
+        with pytest.raises(ParameterOutOfRange):
+            make_extremal(TheoremId.MAIN_UPPER, 3.0, 1.0, t, n)  # counts not integers in range
+
+
+@pytest.mark.parametrize("h", [-0.5, np.nan])
+def test_offset_family_rejects_bad_offset(h):
+    with pytest.raises(ParameterOutOfRange):
+        blaschke_offset_family(PoleSet([2.0, 3.0]), h)

@@ -14,11 +14,13 @@ from ratbound import (
     Reducible,
     ZeroLocation,
     blaschke_deriv_modulus_on_T1,
+    blaschke_eval,
     classify_zeros,
     poly_eval,
     poly_roots,
     rat_derivative_eval,
     rat_eval,
+    star_transform_deriv_modulus,
 )
 from ratbound import ratfun
 from ratbound.ratfun import EVAL_BLOCK, _pole_sums
@@ -73,6 +75,17 @@ def test_polynomial_rejects_nonfinite_coefficients():
         Polynomial([np.inf, 1.0])
     with pytest.raises(ValueError):
         Polynomial.from_roots([1.0 + np.nan * 1j])
+    with pytest.raises(ValueError):
+        Polynomial.from_roots([1.0], leading=complex(1.0, np.inf))
+
+
+def test_polynomial_rejects_malformed_coefficients():
+    with pytest.raises(ValueError):
+        Polynomial([])
+    with pytest.raises(ValueError):
+        Polynomial([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError):
+        Polynomial.from_roots([1.0, 2.0], leading=0)
 
 
 def test_from_roots_expansion_matches_coefficients():
@@ -151,10 +164,11 @@ def test_poly_roots_residual_bound():
             assert abs(p(root)) <= cap
 
 
-def test_poly_roots_exhausted_budget_raises():
+def test_poly_roots_exhausted_budget_raises(monkeypatch):
+    monkeypatch.setattr(ratfun, "ROOT_SWEEP_BUDGET", 0)
     p = Polynomial([-8.0, 12.0, -6.0, 1.0])
     with pytest.raises(NonConvergence):
-        poly_roots(p, sweep_budget=0)
+        poly_roots(p)
 
 
 def test_root_coefficient_round_trip():
@@ -280,6 +294,34 @@ def test_rat_eval_array_matches_point_evaluation(count):
             assert values[i] == rat_eval(r, complex(zs[i])), (n, i)
 
 
+def _evaluators(r: RationalFunction) -> dict:
+    """Every point evaluator, bound to r or to the Blaschke product of its poles."""
+    b = BlaschkeProduct(r.poles)
+    return {
+        "poly_eval": lambda z: poly_eval(r.numer, z),
+        "rat_eval": lambda z: rat_eval(r, z),
+        "rat_derivative_eval": lambda z: rat_derivative_eval(r, z),
+        "_pole_sums": lambda z: _pole_sums(r, z),
+        "blaschke_eval": lambda z: blaschke_eval(b, z),
+        "z_log_derivative": b.z_log_derivative,
+        "blaschke_deriv_modulus_on_T1": lambda z: blaschke_deriv_modulus_on_T1(b, z),
+        "star_transform_deriv_modulus": lambda z: star_transform_deriv_modulus(r, z),
+    }
+
+
+def _parts(out) -> tuple:
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _blocked_and_whole(fn, zs, monkeypatch) -> tuple:
+    """fn's outputs at zs as pointwise blocks them, and from one kernel call over all of zs."""
+    blocked = _parts(fn(zs))
+    with monkeypatch.context() as patch:
+        patch.setattr(ratfun, "EVAL_BLOCK", zs.size)
+        whole = _parts(fn(zs))
+    return blocked, whole
+
+
 @pytest.mark.parametrize("count", [EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 20000, 65536])
 def test_blocked_passes_match_unblocked_and_single_points(count, monkeypatch):
     rng = CounterRng(9500 + count)
@@ -287,33 +329,29 @@ def test_blocked_passes_match_unblocked_and_single_points(count, monkeypatch):
     zeros = [2.0 * rng.next_float() * unit_point(2 * np.pi * rng.next_float()) for _ in range(24)]
     r = RationalFunction.from_zeros(zeros, poles, 0.5 + rng.next_float())
     zs = np.exp(2j * np.pi * np.arange(count) / count)
-    blocked = _pole_sums(r, zs) + (rat_eval(r, zs),)
-    with monkeypatch.context() as patch:
-        patch.setattr(ratfun, "EVAL_BLOCK", count)
-        whole = _pole_sums(r, zs) + (rat_eval(r, zs),)
-    for got, want in zip(blocked, whole):
-        assert got.dtype == want.dtype and got.shape == (count,)
-        assert np.array_equal(got, want)
     # The first, last and block-edge points and a spread of others, each alone.
     picks = sorted({0, count - 1, *range(EVAL_BLOCK - 1, count, EVAL_BLOCK), *range(0, count, count // 97)})
-    for i in picks:
-        alone = _pole_sums(r, zs[i : i + 1]) + (rat_eval(r, zs[i : i + 1]),)
-        assert all(got[i] == one[0] for got, one in zip(blocked, alone)), i
-        assert blocked[3][i] == rat_eval(r, complex(zs[i]))
+    for name, fn in _evaluators(r).items():
+        blocked, whole = _blocked_and_whole(fn, zs, monkeypatch)
+        for got, want in zip(blocked, whole):
+            assert got.dtype == want.dtype and got.shape == (count,), name
+            assert np.array_equal(got, want), name
+        for i in picks:
+            alone = _parts(fn(complex(zs[i])))
+            assert all(type(one) in (complex, float) for one in alone), name
+            assert all(got[i] == one for got, one in zip(blocked, alone)), (name, i)
 
 
 def test_blocked_passes_keep_the_shape_of_a_2d_input(monkeypatch):
     r = RationalFunction.from_zeros([0.5, -0.3j, 1.5], PoleSet([2.0, -3.0j, 1.2 + 1.2j]), 0.8)
     zs = np.exp(2j * np.pi * np.arange(25200) / 25200).reshape(7, 3600)
-    blocked = rat_eval(r, zs), rat_derivative_eval(r, zs)
-    with monkeypatch.context() as patch:
-        patch.setattr(ratfun, "EVAL_BLOCK", zs.size)
-        whole = rat_eval(r, zs), rat_derivative_eval(r, zs)
-    for got, want in zip(blocked, whole):
-        assert got.shape == zs.shape and np.array_equal(got, want)
-    for i, j in [(0, 0), (2, 991), (4, 2000), (6, 3599)]:
-        assert blocked[0][i, j] == rat_eval(r, complex(zs[i, j]))
-        assert blocked[1][i, j] == rat_derivative_eval(r, complex(zs[i, j]))
+    for name, fn in _evaluators(r).items():
+        blocked, whole = _blocked_and_whole(fn, zs, monkeypatch)
+        for got, want in zip(blocked, whole):
+            assert got.shape == zs.shape and np.array_equal(got, want), name
+        for i, j in [(0, 0), (2, 991), (4, 2000), (6, 3599)]:
+            alone = _parts(fn(complex(zs[i, j])))
+            assert all(got[i, j] == one for got, one in zip(blocked, alone)), (name, i, j)
 
 
 def test_near_pole_in_the_final_partial_block_is_rejected():
