@@ -24,7 +24,6 @@ from .bounds import (
 from .circlescan import (
     CircleGrid,
     CircleScanResult,
-    count_zeros_in_disk,
     log_derivative_real_part,
     min_modulus_on_circle,
     sup_modulus_on_circle,

@@ -47,10 +47,6 @@ class BlaschkeProduct:
             poles = PoleSet(poles)
         self.poles = poles
 
-    @property
-    def n(self) -> int:
-        return self.poles.n
-
     def __call__(self, z):
         return blaschke_eval(self, z)
 

@@ -62,7 +62,7 @@ class HypothesisProfile:
     Every inequality is the general upper or lower formula with some
     ingredients pinned: m -> 0 unless ``uses_m``, k -> 1 when ``k_is_one``
     and t -> n when ``t_is_n``.  The direction fixes the rest: an upper
-    bound needs every zero in |z| >= k with k >= 1, a lower bound every
+    bound needs every zero in |z| >= k with finite k >= 1, a lower bound every
     zero in |z| <= k with 0 < k <= 1, and ``k_is_one`` admits only k = 1.
     """
 
@@ -109,7 +109,7 @@ def hypothesis_zero_location(theorem: TheoremId, k: float) -> ZeroLocation:
 def _radius_ok(prof: HypothesisProfile, k: float) -> bool:
     if prof.k_is_one:
         return k == 1.0
-    return k >= 1.0 if prof.direction == "upper" else 0.0 < k <= 1.0
+    return 1.0 <= k < np.inf if prof.direction == "upper" else 0.0 < k <= 1.0
 
 
 def check_hypothesis(theorem: TheoremId, r: RationalFunction, k: float):
@@ -158,14 +158,11 @@ def rhs_value(theorem: TheoremId, bprime, r_abs, ctx: BoundContext):
     (|B'| - (n(1+k) - 2t)(|r| - m)^2 / ((1+k)(||r|| - m)^2)) (||r|| - m) / 2
     and the lower bounds (|B'| + (2t - n(1+k))/(1+k)) (|r| + m) / 2, each
     with the ingredients its profile pins.  ``bprime`` and ``r_abs`` may
-    be arrays; the result broadcasts.  No hypothesis checking happens
-    here, which is what lets tests compare bounds on one shared context.
+    be scalars or arrays; the result broadcasts, and a point alone takes
+    the same arithmetic as its element of an array, so it has the same
+    bits.  No hypothesis checking happens here, which is what lets tests
+    compare bounds on one shared context.
     """
-    if np.isscalar(bprime) and np.isscalar(r_abs):
-        # One-element arrays take the array arithmetic, so a point agrees
-        # bit for bit with its row of a sweep.
-        out = rhs_value(theorem, np.array([bprime], dtype=np.float64), np.array([r_abs], dtype=np.float64), ctx)
-        return float(out[0])
     prof = _PROFILES[theorem]
     bp = np.asarray(bprime, dtype=np.float64)
     ra = np.asarray(r_abs, dtype=np.float64)
@@ -176,11 +173,9 @@ def rhs_value(theorem: TheoremId, bprime, r_abs, ctx: BoundContext):
         gap = ctx.norm - m
         coef = n * (1.0 + k) - 2.0 * t
         # A zero coefficient drops the term outright: at ||r|| = m it is 0 * 0/0.
-        drop = coef * (ra - m) ** 2 / ((1.0 + k) * np.float64(gap) ** 2) if coef else 0.0
-        out = 0.5 * (bp - drop) * gap
-    else:
-        out = 0.5 * (bp + (2.0 * t - n * (1.0 + k)) / (1.0 + k)) * (ra + m)
-    return out
+        drop = coef * np.square(ra - m) / ((1.0 + k) * np.float64(gap) ** 2) if coef else 0.0
+        return 0.5 * (bp - drop) * gap
+    return 0.5 * (bp + (2.0 * t - n * (1.0 + k)) / (1.0 + k)) * (ra + m)
 
 
 def build_context(theorem: TheoremId, r: RationalFunction, k: float, grid_count: int) -> BoundContext:
@@ -320,8 +315,8 @@ def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
     positive the tight point is again z = 1.
     """
     prof = _PROFILES[theorem]
-    if not (np.isreal(a) and float(a) > 1.0):
-        raise ParameterOutOfRange("pole location a must be a real above 1")
+    if not (np.isreal(a) and 1.0 < float(a) < np.inf):
+        raise ParameterOutOfRange("pole location a must be a finite real above 1")
     a = float(a)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ParameterOutOfRange("need an integer pole count n >= 1")

@@ -186,11 +186,6 @@ def winding_zero_count(p: Polynomial, k: float) -> int:
     raise ZeroOnContour(f"phase increments still too coarse at {WINDING_MAX} samples")
 
 
-def count_zeros_in_disk(r: RationalFunction, k: float) -> int:
-    """Numerator zeros of r strictly inside |z| < k."""
-    return winding_zero_count(r.numer, float(k))
-
-
 def log_derivative_real_part(r: RationalFunction, z) -> float:
     """Re(z r'(z) / r(z)) for a point z on the unit circle."""
     z = complex(z)

@@ -24,7 +24,7 @@ import numpy as np
 from .bounds import TheoremId, certify, hypothesis_zero_location, margin_curve, profile
 from .circlescan import DEFAULT_GRID_COUNT, CircleGrid
 from .errors import DegenerateBound, HypothesisViolated, ParseError, RatboundError
-from .harness import GeneratorSpec, instance_from_dict, run_campaign
+from .harness import COMFORTABLE_POLE_FLOOR, POLE_CEILING, GeneratorSpec, instance_from_dict, run_campaign
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -183,8 +183,8 @@ def _build_parser(default_grid: int) -> argparse.ArgumentParser:
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument("--grid", type=int, default=default_grid)
     camp.add_argument("--p-boundary", type=float, default=0.0, dest="p_boundary")
-    camp.add_argument("--pole-min", type=float, default=1.1)
-    camp.add_argument("--pole-max", type=float, default=3.0)
+    camp.add_argument("--pole-min", type=float, default=COMFORTABLE_POLE_FLOOR)
+    camp.add_argument("--pole-max", type=float, default=POLE_CEILING)
     camp.add_argument("--out", default="campaign-report.json")
     camp.set_defaults(func=cmd_campaign)
 

@@ -22,6 +22,8 @@ from .rng import CounterRng
 
 # Poles below this modulus put the sweep circles badly close to a pole.
 COMFORTABLE_POLE_FLOOR = 1.1
+# Upper end of the default pole annulus.
+POLE_CEILING = 3.0
 HARD_POLE_FLOOR = 1.01
 # Generated points keep this distance from scan circles and one another.
 SEPARATION = 1e-6
@@ -40,7 +42,7 @@ class GeneratorSpec:
     zero_region: ZeroLocation
     seed: int
     count: int
-    pole_annulus: tuple = (COMFORTABLE_POLE_FLOOR, 3.0)
+    pole_annulus: tuple = (COMFORTABLE_POLE_FLOOR, POLE_CEILING)
     p_boundary: float = 0.0
 
     def __post_init__(self):

@@ -44,13 +44,6 @@ def _as_complex_array(values, what: str) -> np.ndarray:
     return arr
 
 
-def _finite_scalar(value, what: str) -> complex:
-    z = complex(value)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError(f"{what} must be finite")
-    return z
-
-
 class Polynomial:
     """Polynomial with complex coefficients, ascending powers."""
 
@@ -72,7 +65,7 @@ class Polynomial:
     def from_roots(cls, roots, leading=1.0) -> "Polynomial":
         """Expand prod (z - b_j) scaled by ``leading``; roots become the cache."""
         bs = _as_complex_array(roots, "roots")
-        lead = _finite_scalar(leading, "leading coefficient")
+        lead = _as_complex_array([complex(leading)], "leading coefficient")[0]
         if lead == 0:
             raise ValueError("leading coefficient must be nonzero")
         coeffs = np.array([lead], dtype=np.complex128)
@@ -102,9 +95,6 @@ class Polynomial:
             return Polynomial([0.0])
         k = np.arange(1, self.coeffs.size)
         return Polynomial(self.coeffs[1:] * k)
-
-    def has_root_cache(self) -> bool:
-        return self._roots is not None
 
     def roots(self) -> np.ndarray:
         """Roots with multiplicity; the construction-time cache wins."""

@@ -296,6 +296,10 @@ def test_hypothesis_radius_rules():
         check_hypothesis(TheoremId.LI_UPPER, r, 1.5)  # unit-circle id
     with pytest.raises(HypothesisViolated):
         check_hypothesis(TheoremId.MAIN_UPPER, r, 0.5)  # needs k >= 1
+    with pytest.raises(HypothesisViolated):
+        check_hypothesis(TheoremId.MAIN_UPPER, r, np.inf)  # needs k finite
+    with pytest.raises(HypothesisViolated):
+        sharpness_gap(TheoremId.AZIZ_ZARGER_99, r, 1.0, k=np.inf)
     inner = RationalFunction.from_zeros([0.2], PoleSet([3.0]))
     with pytest.raises(HypothesisViolated):
         check_hypothesis(TheoremId.MAIN_LOWER, inner, 1.5)  # needs k <= 1
@@ -435,6 +439,15 @@ def test_readme_id_table_matches_profiles():
         prof = profile(TheoremId.from_name(name))
         flags = (not prof.uses_m, prof.k_is_one, prof.t_is_n, prof.needs_all_zeros, prof.needs_boundary_zero)
         assert cells == [prof.direction] + ["yes" if flag else "" for flag in flags], name
+
+
+def test_readme_python_blocks_run():
+    # A name the README still uses after the code dropped or renamed it fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_only_main_upper_is_degenerate():
@@ -750,6 +763,10 @@ def test_offset_family_values():
 def test_make_extremal_parameter_gating():
     with pytest.raises(ParameterOutOfRange):
         make_extremal(TheoremId.MAIN_UPPER, 1.0, 1.0, 1, 1)  # pole not above 1
+    with pytest.raises(ParameterOutOfRange):
+        make_extremal(TheoremId.MAIN_UPPER, np.inf, 1.5, 2, 2)  # pole not finite
+    with pytest.raises(ParameterOutOfRange):
+        make_extremal(TheoremId.MAIN_UPPER, 3.0, np.inf, 2, 2)  # radius not finite
     with pytest.raises(ParameterOutOfRange):
         make_extremal(TheoremId.MAIN_UPPER, 3.0, 0.5, 1, 1)  # radius below 1
     with pytest.raises(ParameterOutOfRange):

@@ -19,7 +19,6 @@ from ratbound import (
     RationalFunction,
     ZeroOnContour,
     blaschke_deriv_modulus_on_T1,
-    count_zeros_in_disk,
     log_derivative_real_part,
     min_modulus_on_circle,
     rat_eval,
@@ -293,6 +292,8 @@ def test_winding_examples():
     assert winding_zero_count(Polynomial([-0.25, 0.0, 1.0]), 1.0) == 2
     assert winding_zero_count(Polynomial([-8.0, 12.0, -6.0, 1.0]), 1.0) == 0
     assert winding_zero_count(Polynomial([5.0]), 1.0) == 0
+    with pytest.raises(ValueError, match="zero polynomial"):
+        winding_zero_count(Polynomial([0.0]), 1.0)
 
 
 def test_winding_matches_root_list_oracle():
@@ -311,29 +312,28 @@ def test_winding_matches_root_list_oracle():
 
 
 def test_winding_rejects_root_on_contour():
-    p = Polynomial.from_roots([1.0, 0.3])
-    with pytest.raises(ZeroOnContour):
-        winding_zero_count(p, 1.0)
+    # z = 1 is a contour sample: (z - 1)(z - 0.3) is an ulp off 0 there,
+    # so the Newton step refuses it, and z - 1 is exactly 0.
+    for roots, reason in (([1.0, 0.3], "sits on the contour"), ([1.0], "exact numerator root")):
+        with pytest.raises(ZeroOnContour, match=reason):
+            winding_zero_count(Polynomial.from_roots(roots), 1.0)
 
 
 @pytest.mark.parametrize("k", [-1.0, 0.0, math.nan, math.inf])
 def test_winding_refuses_bad_radius(k):
     # The radius check comes before any sampling: no grid doubling, no warnings.
     p = Polynomial.from_roots([0.5, 2.0, -0.3j])
-    r = RationalFunction(p, PoleSet([3.0, 3.0, 3.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="grid radius"):
             winding_zero_count(p, k)
-        with pytest.raises(ValueError, match="grid radius"):
-            count_zeros_in_disk(r, k)
 
 
 def test_count_zeros_in_disk_uses_numerator():
     r = RationalFunction.from_zeros([0.5, -0.2, 1.7], PoleSet([2.0, 3.0, 2.5]))
-    assert count_zeros_in_disk(r, 1.0) == 2
+    assert winding_zero_count(r.numer, 1.0) == 2
     # poles inside |z| < k do not contribute when k > 1
-    assert count_zeros_in_disk(r, 2.2) == 3
+    assert winding_zero_count(r.numer, 2.2) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -346,12 +346,14 @@ def test_campaign_writes_stable_report(tmp_path, capsys):
 
 
 def test_campaign_unwritable_out_exits_one(tmp_path, capsys):
-    out = tmp_path / "missing-dir" / "report.json"
-    argv = ["campaign", "--theorem", "main-upper", "--n", "2", "--count", "3", "--grid", "256", "--out", str(out)]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "cannot write" in captured.err and len(captured.err.splitlines()) == 1
+    # A missing directory is refused before the campaign; an existing
+    # directory as --out only when the report is written.
+    for out in (tmp_path / "missing-dir" / "report.json", tmp_path):
+        argv = ["campaign", "--theorem", "main-upper", "--n", "2", "--count", "3", "--grid", "256", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write" in captured.err and len(captured.err.splitlines()) == 1
 
 
 def test_campaign_missing_out_dir_fails_before_running(tmp_path, monkeypatch, capsys):

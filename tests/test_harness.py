@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ratbound import harness
 from ratbound import (
     CircleGrid,
     DegenerateBound,
@@ -215,25 +216,42 @@ def test_campaign_worst_instance_reproduces():
     assert abs(verdict.min_margin - report.min_margin) <= 1e-12
 
 
-def test_campaign_tally_matches_one_by_one():
+def test_campaign_tally_matches_one_by_one(monkeypatch):
     # With t < n main-upper is violated, so the streamed counts add up real violations.
+    # The second pass refuses every other instance as degenerate: the tally
+    # must count those and take the margins from the certified ones only.
     spec = GeneratorSpec(
         n=3, t=1, zero_region=ZeroLocation.all_outside_or_on(1.5), seed=9, count=25
     )
     grid = CircleGrid(1.5, 1024)
-    report = run_campaign(spec, TheoremId.MAIN_UPPER, grid)
-    verdicts, degenerate = [], 0
-    for r in generate(spec):
-        try:
-            verdicts.append(certify(TheoremId.MAIN_UPPER, r, grid))
-        except DegenerateBound:
-            degenerate += 1
-    assert report.violations == sum(v.violations for v in verdicts) > 0
-    assert report.certified == len(verdicts)
-    assert report.degenerate_count == degenerate
-    assert report.skipped_points == sum(v.skipped_points for v in verdicts)
-    assert report.min_margin == report.worst_instance["min_margin"]
-    assert report.min_margin == min(v.min_margin for v in verdicts)
+    for refuse_odd in (False, True):
+        calls = []
+
+        def certify_or_refuse(theorem, r, grid):
+            calls.append(r)
+            if refuse_odd and len(calls) % 2 == 0:
+                raise DegenerateBound("refused every other instance")
+            return certify(theorem, r, grid)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "certify", certify_or_refuse)
+            report = run_campaign(spec, TheoremId.MAIN_UPPER, grid)
+        calls.clear()
+        verdicts, degenerate = [], 0
+        for r in generate(spec):
+            try:
+                verdicts.append((certify_or_refuse(TheoremId.MAIN_UPPER, r, grid), r))
+            except DegenerateBound:
+                degenerate += 1
+        assert report.violations == sum(v.violations for v, _ in verdicts) > 0
+        assert report.certified == len(verdicts)
+        assert report.degenerate_count == degenerate >= (12 if refuse_odd else 0)
+        assert report.certified + report.degenerate_count == report.instances
+        assert report.skipped_points == sum(v.skipped_points for v, _ in verdicts)
+        assert report.min_margin == report.worst_instance["min_margin"]
+        worst, worst_r = min(verdicts, key=lambda pair: pair[0].min_margin)
+        assert report.min_margin == worst.min_margin
+        assert report.worst_instance == dict(instance_to_dict(worst_r, grid.k), min_margin=worst.min_margin)
 
 
 def test_campaign_json_is_stable():

@@ -189,9 +189,12 @@ def test_root_coefficient_round_trip():
         assert np.abs(rebuilt.coeffs - p.coeffs).max() <= 1e-8 * scale
 
 
-def test_roots_cache_is_authoritative():
+def test_roots_cache_is_authoritative(monkeypatch):
+    def no_root_finder(p):
+        raise AssertionError("roots() ran the root finder for a from_roots polynomial")
+
+    monkeypatch.setattr(ratfun, "poly_roots", no_root_finder)
     p = Polynomial.from_roots([0.5, -0.5])
-    assert p.has_root_cache()
     assert np.allclose(np.sort_complex(p.roots()), [-0.5, 0.5], atol=0)
 
 
