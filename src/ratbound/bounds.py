@@ -315,9 +315,9 @@ def make_extremal(theorem: TheoremId, a: float, k: float, t: int, n: int):
     positive the tight point is again z = 1.
     """
     prof = _PROFILES[theorem]
-    if not (np.isreal(a) and 1.0 < float(a) < np.inf):
+    if not (np.isreal(a) and 1.0 < float(np.real(a)) < np.inf):
         raise ParameterOutOfRange("pole location a must be a finite real above 1")
-    a = float(a)
+    a = float(np.real(a))
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ParameterOutOfRange("need an integer pole count n >= 1")
     if not (isinstance(t, (int, np.integer)) and 0 <= t <= n):

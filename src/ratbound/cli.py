@@ -59,7 +59,7 @@ def _load_instance(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}")
     try:
         return instance_from_dict(doc)
-    except (LookupError, TypeError, ValueError, RatboundError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError, RatboundError) as exc:
         raise ParseError(f"{path} is not a valid instance: {exc}")
 
 

@@ -22,7 +22,7 @@ class ZeroOnContour(RatboundError):
 
 
 class NonConvergence(RatboundError):
-    """Iterative root refinement exhausted its sweep budget."""
+    """A computed polynomial root fails the residual certificate."""
 
 
 class NearZeroOfR(RatboundError):

@@ -66,6 +66,10 @@ class GeneratorSpec:
                 RuntimeWarning,
                 stacklevel=2,
             )
+        # _draw_zero's radius draw squares k + 2 for an outside region.
+        rho_max = float(self.zero_region.k) + 2.0
+        if self.zero_region.mode == MODE_OUTSIDE and not np.isfinite(rho_max * rho_max):
+            raise SpecInvalid(f"outside zero region k={self.zero_region.k} needs (k + 2)**2 finite")
         if not (np.isfinite(self.p_boundary) and 0.0 <= self.p_boundary <= 1.0):
             raise SpecInvalid("p_boundary must lie in [0, 1]")
 

@@ -25,9 +25,8 @@ COINCIDENCE_CUTOFF = 1e-12
 # on both sides of the circle, meets the boundary-zero hypothesis and makes
 # the minimum modulus on the circle exactly 0.
 CLASSIFY_BAND = 1e-9
-# Residual acceptance for the simultaneous root iteration.
+# A root is accepted when |p(root)| <= this * max|c| * max(1, |root|)^deg.
 ROOT_RESIDUAL_FACTOR = 1e-10
-ROOT_SWEEP_BUDGET = 200
 # Points per slice of a grid pass.  A complex temporary of one block is
 # 128 KiB, so a pass over the poles stays in a 2 MiB per-core L2 cache, and
 # below numpy's 256 KiB temporary-elision size, so a point's bits never
@@ -150,67 +149,34 @@ def poly_eval(p: Polynomial, zs):
     return _horner(p.coeffs, zs)
 
 
-def _aberth_sweeps(coeffs: np.ndarray, guesses: np.ndarray, budget: int) -> np.ndarray:
-    """Simultaneous Newton corrections with repulsion between iterates."""
-    deriv = coeffs[1:] * np.arange(1, coeffs.size)
-    x = guesses.copy()
-    for _ in range(budget):
-        pv = _horner(coeffs, x)
-        dv = _horner(deriv, x)
-        # Stalled derivative means a perfectly symmetric guess; nudge it.
-        bad = dv == 0
-        if np.any(bad):
-            x[bad] += 1e-6 * (1 + np.abs(x[bad]))
-            continue
-        newton = pv / dv
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulse = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repulse
-        steps = np.where(denom != 0, newton / np.where(denom == 0, 1, denom), newton)
-        x = x - steps
-        if np.max(np.abs(steps) / (1.0 + np.abs(x))) < 1e-14:
-            break
-    return x
-
-
 def poly_roots(p: Polynomial) -> np.ndarray:
     """All roots of ``p`` counted with multiplicity.
 
-    The roots are found by simultaneous iteration started on a circle,
-    which keeps multiple roots grouped in tight clusters, and every root
-    must satisfy a residual bound scaled by the coefficient size or
-    NonConvergence is raised.  The iteration always runs; the cached
-    roots of a from_roots construction are what ``Polynomial.roots``
-    returns.
+    The roots are the eigenvalues of the companion matrix (``np.roots``),
+    polished by one Newton step, and every root must satisfy a residual
+    bound scaled by the coefficient size or NonConvergence is raised.
+    This always runs; the cached roots of a from_roots construction are
+    what ``Polynomial.roots`` returns.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
     coeffs = p.coeffs
-    # Exact roots at the origin split off before iterating.
+    # Exact roots at the origin split off first.
     lead_zeros = 0
     while coeffs[lead_zeros] == 0:
         lead_zeros += 1
-    origin = np.zeros(lead_zeros, dtype=np.complex128)
     coeffs = coeffs[lead_zeros:]
     d = coeffs.size - 1
-    if d == 0:
-        roots = origin
-    elif d == 1:
-        roots = np.concatenate([origin, [-coeffs[0] / coeffs[1]]])
-    else:
-        radius = float(np.abs(coeffs[0] / coeffs[-1]) ** (1.0 / d))
-        radius = min(max(radius, 1e-8), 1e8)
-        angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.7 / d
-        found = _aberth_sweeps(coeffs, radius * np.exp(1j * angles), ROOT_SWEEP_BUDGET)
+    found = np.roots(coeffs[::-1])
+    if d:
+        dv = _horner(coeffs[1:] * np.arange(1, coeffs.size), found)
+        found = found - np.divide(_horner(coeffs, found), dv, out=np.zeros_like(found), where=dv != 0)
         scale = float(np.max(np.abs(coeffs)))
         resid = np.abs(_horner(coeffs, found))
         allowed = ROOT_RESIDUAL_FACTOR * scale * np.maximum(1.0, np.abs(found)) ** d
         if np.any(resid > allowed):
-            raise NonConvergence(
-                f"root residual {float(np.max(resid / allowed)):.3g}x over budget after {ROOT_SWEEP_BUDGET} sweeps"
-            )
-        roots = np.concatenate([origin, found])
+            raise NonConvergence(f"root residual {float(np.max(resid / allowed)):.3g}x over the certificate")
+    roots = np.concatenate([np.zeros(lead_zeros, dtype=np.complex128), found])
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 
@@ -357,9 +323,10 @@ def _pole_sums(r: RationalFunction, zs):
     return pv / den, (dv - pv * logw) / den, bprime
 
 
-def rat_derivative_eval(r: RationalFunction, z):
+@pointwise
+def rat_derivative_eval(r: RationalFunction, zs):
     """Evaluate r'(z) by the quotient rule, r' = (p' - p * w'/w) / w."""
-    return _pole_sums(r, z)[1]
+    return _pole_sums.__wrapped__(r, zs)[1]
 
 
 def _zeros_on_circle(r: RationalFunction, k: float) -> np.ndarray:

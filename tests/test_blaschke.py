@@ -95,6 +95,22 @@ def test_wide_eval_holds_its_output_and_a_few_blocks():
     assert peak - start <= 24 * 2**20
 
 
+def test_wide_derivative_eval_holds_its_output_and_a_few_blocks():
+    # rat_derivative_eval keeps r' only; r and |B'| live one block at a time.
+    rng = CounterRng(2400)
+    poles = PoleSet([rng.next_radius(1.1, 3.0) * np.exp(1j * rng.next_angle()) for _ in range(24)])
+    r = RationalFunction.from_zeros([rng.next_radius(1.0, 3.0) * np.exp(1j * rng.next_angle()) for _ in range(24)], poles)
+    zs = np.exp(2j * np.pi * np.arange(1 << 20) / (1 << 20))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rat_derivative_eval(r, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 24 * 2**20
+
+
 def test_plain_list_of_poles_and_call_syntax():
     b = BlaschkeProduct([2.0, -3.0j])
     assert b.poles == PoleSet([2.0, -3.0j])

@@ -735,6 +735,13 @@ def test_extremal_power_family_sweep():
         assert sharpness_gap(theorem, r, z, k=k) <= 1e-9, theorem
 
 
+def test_extremal_real_pole_given_as_complex():
+    r, z = make_extremal(TheoremId.MAIN_UPPER, 3 + 0j, 1.5, 2, 2)
+    want, want_z = make_extremal(TheoremId.MAIN_UPPER, 3.0, 1.5, 2, 2)
+    assert z == want_z and r.poles == want.poles
+    assert np.array_equal(r.numer.coeffs, want.numer.coeffs) and np.array_equal(r.zeros(), want.zeros())
+
+
 def test_extremal_offset_family():
     for theorem, h in [
         (TheoremId.LI_UPPER, 1.0),

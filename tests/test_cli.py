@@ -191,6 +191,8 @@ def test_overflow_prints_no_numpy_warning(tmp_path, capsys, doc):
 
 
 BIG_ZERO = {"poles": [[3, 0]], "zeros": [[1e200, 0]], "leading": [1, 0]}
+# A JSON integer beyond the double range.
+HUGE_INT = 10**400
 
 
 @pytest.mark.parametrize(
@@ -203,9 +205,11 @@ BIG_ZERO = {"poles": [[3, 0]], "zeros": [[1e200, 0]], "leading": [1, 0]}
         ({"poles": [[3, 1e300]], "zeros": [[-2, 0]], "leading": [1, 0]}, ["certify", "{inst}", "li-upper"]),
         (BIG_ZERO, ["certify", "{inst}", "main-upper", "--k", "1.5"]),
         (BIG_ZERO, ["curves", "{inst}", "main-upper", "{dir}/curve.csv", "--k", "1.5"]),
+        ({"poles": [[HUGE_INT, 0]], "zeros": [[-2, 0]], "leading": [1, 0]}, ["certify", "{inst}", "main-upper"]),
+        ({"poles": [[3, 0]], "zeros": [[-2, 0]], "leading": [1, 0], "k": HUGE_INT}, ["certify", "{inst}", "main-upper"]),
     ],
     ids=["leading-one-part", "pole-max-squared-overflows", "pole-1e200", "pole-imag-1e300",
-         "big-zero-certify", "big-zero-curves"],
+         "big-zero-certify", "big-zero-curves", "pole-huge-int", "k-huge-int"],
 )
 def test_malformed_or_overflowing_input_exits_one(tmp_path, capsys, doc, argv):
     inst = tmp_path / "inst.json"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ratbound import harness
+from ratbound import harness, ratfun
 from ratbound import (
     CircleGrid,
     DegenerateBound,
@@ -17,6 +17,7 @@ from ratbound import (
     build_context,
     certify,
     generate,
+    hypothesis_zero_location,
     instance_from_dict,
     instance_to_dict,
     run_campaign,
@@ -56,6 +57,8 @@ def test_spec_rejects_bad_fields():
         GeneratorSpec(**spec_kwargs(pole_annulus=(2.0, 2.0)))
     with pytest.raises(SpecInvalid):
         GeneratorSpec(**spec_kwargs(p_boundary=1.5))
+    with pytest.raises(SpecInvalid, match="zero region"):
+        GeneratorSpec(**spec_kwargs(zero_region=ZeroLocation.all_outside_or_on(1.5e154)))
 
 
 def test_spec_warns_on_tight_pole_floor():
@@ -182,6 +185,28 @@ def test_campaign_rejects_unpinned_boundary_zero_ids():
     )
     report = run_campaign(pinned, TheoremId.MAIN_UPPER_COR, grid)
     assert report.violations == 0
+
+
+@pytest.mark.parametrize(
+    "theorem, k, p_boundary",
+    [
+        (TheoremId.MAIN_UPPER, 1.5, 0.0),
+        (TheoremId.MAIN_LOWER, 0.7, 0.0),
+        (TheoremId.MAIN_UPPER_COR, 1.5, 1.0),
+        (TheoremId.LI_LOWER, 1.0, 0.0),
+    ],
+)
+def test_campaign_never_runs_the_root_finder(monkeypatch, theorem, k, p_boundary):
+    # Generated instances carry their zeros, so report bytes cannot depend on poly_roots.
+    def no_root_finder(p):
+        raise AssertionError("a campaign ran the root finder")
+
+    monkeypatch.setattr(ratfun, "poly_roots", no_root_finder)
+    spec = GeneratorSpec(
+        n=3, t=3, zero_region=hypothesis_zero_location(theorem, k), seed=9, count=5, p_boundary=p_boundary
+    )
+    report = run_campaign(spec, theorem, CircleGrid(k, 256))
+    assert report.instances == 5
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from ratbound import (
     ZeroLocation,
     blaschke_deriv_modulus_on_T1,
     blaschke_eval,
+    blaschke_offset_family,
     classify_zeros,
     poly_eval,
     poly_roots,
@@ -164,19 +165,21 @@ def test_poly_roots_residual_bound():
             assert abs(p(root)) <= cap
 
 
-def test_poly_roots_exhausted_budget_raises(monkeypatch):
-    monkeypatch.setattr(ratfun, "ROOT_SWEEP_BUDGET", 0)
+def test_poly_roots_residual_certificate_raises(monkeypatch):
+    # A factor no residual can meet: every root of (z - 2)^3 is refused.
+    monkeypatch.setattr(ratfun, "ROOT_RESIDUAL_FACTOR", 1e-300)
     p = Polynomial([-8.0, 12.0, -6.0, 1.0])
     with pytest.raises(NonConvergence):
         poly_roots(p)
 
 
 def test_root_coefficient_round_trip():
-    # expand(poly_roots(p)) reproduces p to relative 1e-8, degree <= 8.
+    # expand(poly_roots(p)) reproduces p to relative 1e-8: 40 polynomials
+    # of degree <= 8, then 40 of degree <= 24.
     rng = CounterRng(1103)
-    for trial in range(40):
+    for trial in range(80):
         sub = rng.split(trial)
-        deg = 1 + sub.next_u64() % 8
+        deg = 1 + sub.next_u64() % (8 if trial < 40 else 24)
         coeffs = [
             complex(2 * sub.next_float() - 1, 2 * sub.next_float() - 1)
             for _ in range(deg + 1)
@@ -187,6 +190,16 @@ def test_root_coefficient_round_trip():
         rebuilt = Polynomial.from_roots(poly_roots(p), leading=p.coeffs[-1])
         scale = np.abs(p.coeffs).max()
         assert np.abs(rebuilt.coeffs - p.coeffs).max() <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 5.0])
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
+def test_offset_family_roots_are_unimodular(a, n):
+    # B + 1 has coefficients only, so its zeros come from poly_roots; all lie on |z| = 1.
+    r = blaschke_offset_family(PoleSet([a] * n), 1.0)
+    zeros = r.zeros()
+    assert zeros.size == n
+    assert np.abs(np.abs(zeros) - 1.0).max() <= ratfun.CLASSIFY_BAND
 
 
 def test_roots_cache_is_authoritative(monkeypatch):
