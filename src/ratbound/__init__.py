@@ -11,7 +11,6 @@ from .bounds import (
     BoundVerdict,
     TheoremId,
     blaschke_offset_family,
-    bound_rhs,
     build_context,
     certify,
     check_hypothesis,

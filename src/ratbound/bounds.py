@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import _check_on_unit_circle, _finite
-from .circlescan import DEFAULT_GRID_COUNT, CircleGrid, _extremum, _pole_circle_guard, min_modulus_on_circle
+from .circlescan import DEFAULT_GRID_COUNT, CircleGrid, _extremum, _minimum, _pole_circle_guard, min_modulus_on_circle
 from .errors import DegenerateBound, HypothesisViolated, ParameterOutOfRange
 from .ratfun import (
     PoleSet,
@@ -186,19 +186,22 @@ def build_context(theorem: TheoremId, r: RationalFunction, k: float, grid_count:
 def _unit_pass(theorem: TheoremId, r: RationalFunction, k: float, grid_count: int) -> tuple:
     """Context, the unit grid, and |r|, r' and |B'| on it from one pass over the poles.
 
-    The norm scan takes its grid moduli from that pass.
+    The norm scan, and the min scan when m's circle is |z| = 1, take their grid
+    moduli from that pass.  A min scan on another circle runs first, so its refusals come first.
     """
     prof = _PROFILES[theorem]
+    m_k = _pinned_k(prof, k)
     m = 0.0
     with np.errstate(all="ignore"):
-        if prof.uses_m:
-            m_k = _pinned_k(prof, k)
+        if prof.uses_m and m_k != 1.0:
             m = min_modulus_on_circle(r, m_k, CircleGrid(m_k, grid_count)).value
         unit = CircleGrid(1.0, grid_count)
         _pole_circle_guard(r, 1.0)
         rv, deriv, bprime = _pole_sums(r, unit.points())
         r_abs = np.abs(rv)
         norm = _extremum(r, unit, r_abs, True).value
+        if prof.uses_m and m_k == 1.0:
+            m = _minimum(r, unit, r_abs).value
     if not (np.isfinite(norm) and norm > 0 and np.isfinite(m)):
         raise ParameterOutOfRange(f"instance values leave the double range: sup |r| = {norm!r}, min modulus = {m!r}")
     ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=k)
@@ -230,15 +233,6 @@ def _point_margins(theorem: TheoremId, r: RationalFunction, ctx: BoundContext, z
         rv, deriv, bprime = _pole_sums(r, z)
     _check_on_unit_circle(z)
     return tuple(float(x) for x in _margins(theorem, ctx, np.abs(rv), deriv, bprime))
-
-
-def bound_rhs(theorem: TheoremId, ctx: BoundContext, r: RationalFunction, z) -> float:
-    """Bound RHS at one circle point, with hypothesis and context checks."""
-    if ctx.t != r.t or ctx.n != r.n:
-        raise ValueError(f"context (t={ctx.t}, n={ctx.n}) disagrees with instance (t={r.t}, n={r.n})")
-    check_hypothesis(theorem, r, ctx.k)
-    _degenerate_guard(theorem, ctx)
-    return _point_margins(theorem, r, ctx, z)[1]
 
 
 @dataclass(frozen=True)
@@ -280,9 +274,8 @@ def certify(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> BoundV
         min_margin=float(margin[worst]),
         worst_theta=unit.theta(worst),
         violations=int(np.sum(margin < -tol)),
-        # The norm scan refuses poles within 1e-9 of the unit circle before
-        # the grid pass, so no grid point comes within the 1e-12 pole cutoff
-        # and none is skipped.
+        # The unit pass refuses poles within CLASSIFY_BAND of the circle, so no
+        # grid point comes within POLE_PROXIMITY_CUTOFF of one and none is skipped.
         skipped_points=0,
     )
 

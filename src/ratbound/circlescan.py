@@ -17,7 +17,7 @@ import numpy as np
 
 from .blaschke import _check_on_unit_circle
 from .errors import NearZeroOfR, PoleOnCircle, ZeroOnContour
-from .ratfun import Polynomial, RationalFunction, _pole_sums, _zeros_on_circle, rat_eval
+from .ratfun import CLASSIFY_BAND, Polynomial, RationalFunction, _pole_sums, _zeros_on_circle, rat_eval
 
 DEFAULT_GRID_COUNT = 1024
 REFINE_THETA_TOL = 1e-12
@@ -25,9 +25,6 @@ REFINE_THETA_TOL = 1e-12
 REFINE_POINTS = 64
 # Below this any modulus is reported as an exact zero minimum.
 ZERO_SNAP = 1e-13
-# A pole this close to the scan radius raises PoleOnCircle, and a numerator
-# root this close to the winding contour (by its Newton step) ZeroOnContour.
-CIRCLE_MATCH_TOL = 1e-9
 WINDING_START = 256
 WINDING_MAX = 1 << 22
 
@@ -94,7 +91,7 @@ def _golden(r: RationalFunction, grid: CircleGrid, lo: float, hi: float, maximiz
 
 def _pole_circle_guard(r: RationalFunction, k: float):
     gap = float(np.min(np.abs(np.abs(r.poles.as_array()) - k), initial=np.inf))
-    if gap < CIRCLE_MATCH_TOL:
+    if gap < CLASSIFY_BAND:
         raise PoleOnCircle(f"pole modulus within {gap:.3g} of the scan radius {k}")
 
 
@@ -143,12 +140,17 @@ def min_modulus_on_circle(r: RationalFunction, k: float, grid: CircleGrid | None
     produce m = 0 rather than a grid-limited small number.  Any scanned
     or refined value below 1e-13 snaps to 0.0 the same way.
     """
-    k = float(k)
-    grid = _circle_grid(r, k, grid)
-    on_circle = _zeros_on_circle(r, k)
+    return _minimum(r, _circle_grid(r, float(k), grid))
+
+
+def _minimum(r: RationalFunction, grid: CircleGrid, vals: np.ndarray | None = None) -> CircleScanResult:
+    """min_modulus_on_circle on a guarded grid; ``vals`` is |r| at its points, evaluated here if None."""
+    on_circle = _zeros_on_circle(r, grid.k)
     if on_circle.size:
         return CircleScanResult(0.0, float(np.angle(on_circle[0]) % (2.0 * np.pi)), False)
-    return _extremum(r, grid, np.abs(rat_eval(r, grid.points())), False)
+    if vals is None:
+        vals = np.abs(rat_eval(r, grid.points()))
+    return _extremum(r, grid, vals, False)
 
 
 def winding_zero_count(p: Polynomial, k: float) -> int:
@@ -175,7 +177,7 @@ def winding_zero_count(p: Polynomial, k: float) -> int:
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = np.abs(vals) / np.abs(dp(zs))
             newton = np.where(np.isfinite(newton), newton, np.inf)
-            if float(newton.min()) <= CIRCLE_MATCH_TOL * max(1.0, k):
+            if float(newton.min()) <= CLASSIFY_BAND * max(1.0, k):
                 raise ZeroOnContour("a numerator root sits on the contour")
             total = float(np.sum(steps)) / (2.0 * np.pi)
             wind = int(round(total))

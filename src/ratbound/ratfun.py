@@ -15,17 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearPole, NonConvergence, Reducible
+from .errors import NearPole, NonConvergence, ParameterOutOfRange, Reducible
 
-# Closer than this to a pole the quotient rule has no trustworthy digits.
+# Closer than this to a pole the quotient rule has no trustworthy digits,
+# and a numerator root this close to a pole makes the quotient reducible.
 POLE_PROXIMITY_CUTOFF = 1e-12
-# Numerator roots this close to a pole make the quotient reducible.
-COINCIDENCE_CUTOFF = 1e-12
-# A numerator root with ||root| - k| within this band lies on |z| = k: it is
-# on both sides of the circle, meets the boundary-zero hypothesis and makes
-# the minimum modulus on the circle exactly 0.
+# A numerator root with ||root| - k| within this band lies on |z| = k: it is on
+# both sides of the circle, meets the boundary-zero hypothesis and makes m on the
+# circle exactly 0.  A pole this close to a scan radius, and a root this close
+# to a winding contour by its Newton step (times max(1, k)), are refused.
 CLASSIFY_BAND = 1e-9
-# A root is accepted when |p(root)| <= this * max|c| * max(1, |root|)^deg.
+# A root z is accepted when |p(z)| <= this * sum_i |c_i| |z|^i: a componentwise
+# backward error (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).
 ROOT_RESIDUAL_FACTOR = 1e-10
 # Points per slice of a grid pass.  A complex temporary of one block is
 # 128 KiB, so a pass over the poles stays in a 2 MiB per-core L2 cache, and
@@ -153,29 +154,28 @@ def poly_roots(p: Polynomial) -> np.ndarray:
     """All roots of ``p`` counted with multiplicity.
 
     The roots are the eigenvalues of the companion matrix (``np.roots``),
-    polished by one Newton step, and every root must satisfy a residual
-    bound scaled by the coefficient size or NonConvergence is raised.
-    This always runs; the cached roots of a from_roots construction are
-    what ``Polynomial.roots`` returns.
+    polished by one Newton step.  A root that fails the residual
+    certificate raises NonConvergence, and a companion matrix that
+    overflows ParameterOutOfRange.  This always runs; the cached roots of
+    a from_roots construction are what ``Polynomial.roots`` returns.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
-    coeffs = p.coeffs
     # Exact roots at the origin split off first.
-    lead_zeros = 0
-    while coeffs[lead_zeros] == 0:
-        lead_zeros += 1
-    coeffs = coeffs[lead_zeros:]
-    d = coeffs.size - 1
-    found = np.roots(coeffs[::-1])
-    if d:
-        dv = _horner(coeffs[1:] * np.arange(1, coeffs.size), found)
-        found = found - np.divide(_horner(coeffs, found), dv, out=np.zeros_like(found), where=dv != 0)
-        scale = float(np.max(np.abs(coeffs)))
-        resid = np.abs(_horner(coeffs, found))
-        allowed = ROOT_RESIDUAL_FACTOR * scale * np.maximum(1.0, np.abs(found)) ** d
-        if np.any(resid > allowed):
-            raise NonConvergence(f"root residual {float(np.max(resid / allowed)):.3g}x over the certificate")
+    lead_zeros = int(np.argmax(p.coeffs != 0))
+    coeffs = p.coeffs[lead_zeros:]
+    with np.errstate(all="ignore"):
+        try:
+            found = np.roots(coeffs[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise ParameterOutOfRange(f"companion matrix leaves the double range: {exc}") from None
+        if coeffs.size > 1:
+            dv = _horner(coeffs[1:] * np.arange(1, coeffs.size), found)
+            found = found - np.divide(_horner(coeffs, found), dv, out=np.zeros_like(found), where=dv != 0)
+            resid = np.abs(_horner(coeffs, found))
+            allowed = ROOT_RESIDUAL_FACTOR * np.polyval(np.abs(coeffs[::-1]), np.abs(found))
+            if not np.all(resid <= allowed):  # so that a NaN residual fails
+                raise NonConvergence(f"root residual {float(np.max(resid / allowed)):.3g}x over the certificate")
     roots = np.concatenate([np.zeros(lead_zeros, dtype=np.complex128), found])
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
@@ -239,7 +239,7 @@ class RationalFunction:
         if numer.degree > poles.n:
             raise ValueError(f"numerator degree {numer.degree} exceeds pole count {poles.n}")
         gaps = np.abs(numer.roots()[:, None] - poles.as_array()[None, :])
-        if gaps.size and float(gaps.min()) < COINCIDENCE_CUTOFF:
+        if gaps.size and float(gaps.min()) < POLE_PROXIMITY_CUTOFF:
             raise Reducible("a numerator root coincides with a pole")
         self.numer = numer
         self.poles = poles

@@ -25,7 +25,6 @@ from ratbound import (
     blaschke_deriv_modulus_on_T1,
     blaschke_eval,
     blaschke_offset_family,
-    bound_rhs,
     build_context,
     certify,
     check_hypothesis,
@@ -39,8 +38,10 @@ from ratbound import (
     sharpness_gap,
     sup_modulus_on_circle,
 )
-from ratbound.bounds import MARGIN_TOL, profile
+import ratbound.circlescan as circlescan
+from ratbound.bounds import DEGENERATE_GAP, MARGIN_TOL, _point_margins, profile
 from ratbound.harness import GeneratorSpec, generate, instance_from_dict
+from ratbound.ratfun import CLASSIFY_BAND
 
 UPPER_IDS = (
     TheoremId.LI_UPPER,
@@ -194,7 +195,7 @@ def test_point_functions_match_sweep_rows():
         ctx = certify(TheoremId.MAIN_UPPER, r, grid).context
         _, _, rhs, margin = margin_curve(TheoremId.MAIN_UPPER, r, grid)
         for i in range(0, 1024, 97):
-            assert bound_rhs(TheoremId.MAIN_UPPER, ctx, r, zs[i]) == rhs[i]
+            assert _point_margins(TheoremId.MAIN_UPPER, r, ctx, zs[i])[1] == rhs[i]
             assert sharpness_gap(TheoremId.MAIN_UPPER, r, zs[i], k=1.5) == abs(margin[i])
 
 
@@ -441,6 +442,24 @@ def test_readme_id_table_matches_profiles():
         assert cells == [prof.direction] + ["yes" if flag else "" for flag in flags], name
 
 
+def test_readme_tolerances_match_the_code():
+    # Each tolerance quoted under "Margins and tolerances" and in the exit-code
+    # paragraph names its constant, as `NAME` = value, and equals it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    margins = readme.split("\n## Margins and tolerances\n")[1].split("\n## ")[0]
+    exit_codes = re.search(r"^Exit codes:.*?\n\n", readme, flags=re.MULTILINE | re.DOTALL).group(0)
+    constants = {"MARGIN_TOL": MARGIN_TOL, "CLASSIFY_BAND": CLASSIFY_BAND, "DEGENERATE_GAP": DEGENERATE_GAP}
+    named = set()
+    for text in (margins, exit_codes):
+        quoted = re.findall(r"\d+(?:\.\d+)?e[−-]\d+", text)
+        pairs = re.findall(r"`(\w+)` = (\d+(?:\.\d+)?e[−-]\d+)", text)
+        assert quoted and len(pairs) == len(quoted), text
+        for name, value in pairs:
+            assert float(value.replace("−", "-")) == constants[name], name
+            named.add(name)
+    assert named == set(constants)
+
+
 def test_readme_python_blocks_run():
     # A name the README still uses after the code dropped or renamed it fails here.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -491,6 +510,32 @@ def test_sweep_context_equals_public_scans(count):
         assert ctx.m == min_modulus_on_circle(r, k, CircleGrid(k, count)).value, (theorem, k, n)
 
 
+def test_m_on_the_unit_circle_comes_from_the_sweep_pass(monkeypatch):
+    # When m's circle is |z| = 1 the sweep's own pass over the poles gives |r|
+    # on the grid, so no scan evaluates r on a whole grid again; only the
+    # refinement's REFINE_POINTS-point steps call rat_eval.  On another circle
+    # the min scan evaluates its own grid once.
+    sizes = []
+    real = circlescan.rat_eval
+
+    def counted(r, z):
+        sizes.append(np.size(z))
+        return real(r, z)
+
+    monkeypatch.setattr(circlescan, "rat_eval", counted)
+    for theorem, k, grid_calls in (
+        (TheoremId.AZIZ_SHAH_LOWER_97, 1.0, 0),
+        (TheoremId.MAIN_UPPER, 1.0, 0),
+        (TheoremId.MAIN_LOWER, 1.0, 0),
+        (TheoremId.MAIN_UPPER, 1.5, 1),
+    ):
+        (r,) = generate(GeneratorSpec(n=4, t=4, zero_region=hypothesis_zero_location(theorem, k), seed=4700, count=1))
+        sizes.clear()
+        certify(theorem, r, CircleGrid(k, 1024))
+        assert sizes and sizes.count(1024) == grid_calls, (theorem, k, sizes)
+        assert set(sizes) <= {1024, circlescan.REFINE_POINTS}, (theorem, k, sizes)
+
+
 def test_degenerate_guard_constant():
     r = RationalFunction(Polynomial([0.7]), PoleSet())
     with pytest.raises(DegenerateBound):
@@ -506,19 +551,6 @@ def test_constant_certifies_lower_arm_trivially():
     verdict = certify(TheoremId.MAIN_LOWER, r, CircleGrid(1.0, 256))
     assert verdict.passed
     assert verdict.min_margin == 0.0
-
-
-def test_bound_rhs_context_mismatch():
-    r = RationalFunction.from_zeros([-1.5], PoleSet([2.0]))
-    wrong = BoundContext(norm=1.0, m=0.0, t=1, n=2, k=1.5)
-    with pytest.raises(ValueError):
-        bound_rhs(TheoremId.MAIN_UPPER, wrong, r, 1.0)
-
-
-def test_bound_rhs_anchor_value():
-    r, z = make_extremal(TheoremId.MAIN_UPPER, 3.0, 1.0, 2, 2)
-    ctx = build_context(TheoremId.MAIN_UPPER, r, 1.0, 1024)
-    assert abs(bound_rhs(TheoremId.MAIN_UPPER, ctx, r, z) - 2.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -795,3 +827,61 @@ def test_make_extremal_parameter_gating():
 def test_offset_family_rejects_bad_offset(h):
     with pytest.raises(ParameterOutOfRange):
         blaschke_offset_family(PoleSet([2.0, 3.0]), h)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties: conjugation and rotation of an instance
+
+
+def _hypothesis_instances(theorem: TheoremId, seed: int, count: int) -> tuple:
+    """Instances on the theorem's own hypothesis region, and the radius k."""
+    prof = profile(theorem)
+    k = 1.0 if prof.k_is_one else 1.5 if prof.direction == "upper" else 0.7
+    n = 3
+    t = n - 1 if prof.needs_boundary_zero else n
+    spec = GeneratorSpec(
+        n=n,
+        t=t,
+        zero_region=hypothesis_zero_location(theorem, k),
+        seed=seed,
+        count=count,
+        p_boundary=1.0 if prof.needs_boundary_zero else 0.0,
+    )
+    return generate(spec), k
+
+
+def _assert_rows_match(theorem, r, moved, grid, row_of):
+    """Row row_of[i] of ``moved``'s margin curve equals row i of r's, to 1e-12 of the curve's scale."""
+    _, deriv_abs, rhs, margin = margin_curve(theorem, r, grid)
+    _, deriv_moved, rhs_moved, margin_moved = margin_curve(theorem, moved, grid)
+    scale = float(np.max(np.abs(rhs)) + np.max(deriv_abs))
+    for before, after in ((deriv_abs, deriv_moved), (rhs, rhs_moved), (margin, margin_moved)):
+        assert float(np.max(np.abs(after[row_of] - before))) <= 1e-12 * scale, theorem
+
+
+@pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda theorem: theorem.value)
+def test_conjugation_reflects_the_margin_curve(theorem):
+    # r~(z) = conj(r(conj z)): the poles, the zeros and `leading` conjugated.
+    # Grid point i of the unit circle reflects to point -i mod N.
+    count = 1024
+    rows = np.arange(count)
+    instances, k = _hypothesis_instances(theorem, 4800, 5)
+    for r in instances:
+        moved = RationalFunction.from_zeros(
+            np.conj(r.zeros()), PoleSet(np.conj(r.poles.as_array())), np.conj(r.numer.coeffs[-1])
+        )
+        _assert_rows_match(theorem, r, moved, CircleGrid(k, count), (-rows) % count)
+
+
+@pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda theorem: theorem.value)
+def test_rotation_by_one_grid_step_shifts_the_margin_curve(theorem):
+    # With w = exp(2 pi i / N), poles and zeros times w and `leading` times
+    # w^(n - t) give r~(w z) = r(z): row i moves to row i + 1.
+    count = 1024
+    rows = np.arange(count)
+    w = np.exp(2j * np.pi / count)
+    instances, k = _hypothesis_instances(theorem, 4801, 5)
+    for r in instances:
+        lead = r.numer.coeffs[-1] * w ** (r.n - r.t)
+        moved = RationalFunction.from_zeros(w * r.zeros(), PoleSet(w * r.poles.as_array()), lead)
+        _assert_rows_match(theorem, r, moved, CircleGrid(k, count), (rows + 1) % count)

@@ -8,6 +8,7 @@ from ratbound import (
     CounterRng,
     NearPole,
     NonConvergence,
+    ParameterOutOfRange,
     PoleSet,
     Polynomial,
     RationalFunction,
@@ -163,6 +164,8 @@ def test_poly_roots_residual_bound():
         for root in roots:
             cap = 1e-10 * cmax * max(1.0, abs(root)) ** p.degree
             assert abs(p(root)) <= cap
+            # The certificate itself: the componentwise backward error.
+            assert abs(p(root)) <= 1e-10 * sum(abs(c) * abs(root) ** i for i, c in enumerate(p.coeffs))
 
 
 def test_poly_roots_residual_certificate_raises(monkeypatch):
@@ -171,6 +174,21 @@ def test_poly_roots_residual_certificate_raises(monkeypatch):
     p = Polynomial([-8.0, 12.0, -6.0, 1.0])
     with pytest.raises(NonConvergence):
         poly_roots(p)
+
+
+def test_poly_roots_refuses_roots_with_no_correct_digits():
+    # The roots are (-1 +- i sqrt 3)/2 * 1e-200.  The companion matrix of the
+    # monic form has lost the constant 1e-400 to underflow, and its roots 0 and
+    # -1e-200 pass a residual bound scaled by max|c| alone; by the componentwise
+    # backward error their residual is 1e10 times over.
+    with pytest.raises(NonConvergence):
+        poly_roots(Polynomial([1e-200, 1.0, 1e200]))
+
+
+def test_poly_roots_overflow_is_a_package_error():
+    # Made monic, the constant term 1e300 / 1e-300 overflows to inf.
+    with pytest.raises(ParameterOutOfRange):
+        poly_roots(Polynomial([1e300, 1e-300]))
 
 
 def test_root_coefficient_round_trip():
