@@ -1,12 +1,13 @@
 """Circle sweeps: modulus extrema, zero counting, and log-derivative values.
 
 Extrema of |r| on a circle |z| = k are located by a coarse uniform grid
-followed by a vectorised bracket search inside the bracket formed by the
-best sample and its two neighbours: each step evaluates |r| on one array
-of equally spaced points and narrows the bracket around the best of them.
-The coarse grid is the safety net against aliasing; refinement only
-polishes a bracket the grid already found, so a returned value is never
-worse than the best grid sample.
+followed by a vectorised bracket search seeded with the best sample: each
+step evaluates |r| on one array of equally spaced points and narrows the
+bracket around the best value seen, the seed included.  The coarse grid is
+the safety net against aliasing; refinement only polishes a bracket the
+grid already found, so a returned value is never worse than the best grid
+sample.  No rule depends on the size of |r|: r -> 2^j r scales every
+value by 2^j and leaves every angle alone.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ DEFAULT_GRID_COUNT = 1024
 REFINE_THETA_TOL = 1e-12
 # Points per refinement step; the bracket shrinks by (REFINE_POINTS + 1) / 2 a step.
 REFINE_POINTS = 64
-# Below this any modulus is reported as an exact zero minimum.
-ZERO_SNAP = 1e-13
 WINDING_START = 256
 WINDING_MAX = 1 << 22
 
@@ -63,21 +62,23 @@ class CircleScanResult:
     refined: bool
 
 
-def _golden(r: RationalFunction, grid: CircleGrid, lo: float, hi: float, maximize: bool):
-    """Section search of |r| on the grid's circle over angles [lo, hi]; returns (theta, value).
+def _golden(r: RationalFunction, grid: CircleGrid, theta: float, value: float, maximize: bool):
+    """Section search of |r| on the grid's circle from the grid sample (theta, value); returns (theta, value).
 
-    Each step evaluates |r| once, at REFINE_POINTS equally spaced
-    interior angles of the bracket; the next bracket is the best sample
-    seen so far plus or minus one sub-spacing.  The search stops once the
-    bracket is narrower than REFINE_THETA_TOL, and the value returned is
-    always a real evaluation.
+    The first bracket is theta plus or minus one grid step.  Each step
+    evaluates |r| once, at REFINE_POINTS equally spaced interior angles of
+    the bracket; the next bracket is the best sample seen so far, the seed
+    included, plus or minus one sub-spacing.  The search stops once the
+    bracket is narrower than REFINE_THETA_TOL, so the result is a real
+    evaluation no worse than the seed.
     The name is kept because the benchmark's tracer wraps this function as
     its ``circlescan.refine`` span.
     """
     sign = -1.0 if maximize else 1.0
     offsets = np.arange(1, REFINE_POINTS + 1)
-    best_t, best_f = lo, np.inf
-    a, b = lo, hi
+    best_t, best_f = theta, sign * value
+    step = 2.0 * np.pi / grid.count
+    a, b = theta - step, theta + step
     while b - a > REFINE_THETA_TOL:
         h = (b - a) / (REFINE_POINTS + 1)
         ts = a + h * offsets
@@ -106,23 +107,10 @@ def _circle_grid(r: RationalFunction, k: float, grid: CircleGrid | None) -> Circ
 
 
 def _extremum(r: RationalFunction, grid: CircleGrid, vals: np.ndarray, maximize: bool) -> CircleScanResult:
-    """Extremum of |r| on the grid's circle from ``vals``, |r| at the grid points.
-
-    The best sample is refined; a minimum below ZERO_SNAP is reported as
-    an exact, unrefined 0.0.
-    """
+    """Extremum of |r| on the grid's circle from ``vals``, |r| at the grid points: the best sample, refined."""
     best = int(np.argmax(vals) if maximize else np.argmin(vals))
-    theta = grid.theta(best)
-    if not maximize and float(vals[best]) < ZERO_SNAP:
-        return CircleScanResult(0.0, theta, False)
-    step = 2.0 * np.pi / grid.count
-    theta_ref, val_ref = _golden(r, grid, theta - step, theta + step, maximize)
-    # Refinement must never report something the grid already beat.
-    if (maximize and val_ref < vals[best]) or (not maximize and val_ref > vals[best]):
-        theta_ref, val_ref = theta, float(vals[best])
-    if not maximize and val_ref < ZERO_SNAP:
-        return CircleScanResult(0.0, theta_ref % (2.0 * np.pi), False)
-    return CircleScanResult(float(val_ref), theta_ref % (2.0 * np.pi), True)
+    theta, value = _golden(r, grid, grid.theta(best), float(vals[best]), maximize)
+    return CircleScanResult(value, theta % (2.0 * np.pi), True)
 
 
 def sup_modulus_on_circle(r: RationalFunction, k: float, grid: CircleGrid | None = None) -> CircleScanResult:
@@ -134,11 +122,11 @@ def sup_modulus_on_circle(r: RationalFunction, k: float, grid: CircleGrid | None
 def min_modulus_on_circle(r: RationalFunction, k: float, grid: CircleGrid | None = None) -> CircleScanResult:
     """Minimum of |r| on |z| = k.
 
-    A numerator zero lying on the circle (modulus within 1e-9 of k, the
-    band that also decides the zero's side) forces an exact 0.0,
+    A numerator zero lying on the circle (modulus within CLASSIFY_BAND of
+    k, the band that also decides the zero's side) forces an exact 0.0,
     reported unrefined; this is what makes the boundary-zero instances
-    produce m = 0 rather than a grid-limited small number.  Any scanned
-    or refined value below 1e-13 snaps to 0.0 the same way.
+    produce m = 0 rather than a grid-limited small number.  Every other
+    minimum is the refined scan value, however small.
     """
     return _minimum(r, _circle_grid(r, float(k), grid))
 
@@ -189,10 +177,17 @@ def winding_zero_count(p: Polynomial, k: float) -> int:
 
 
 def log_derivative_real_part(r: RationalFunction, z) -> float:
-    """Re(z r'(z) / r(z)) for a point z on the unit circle."""
+    """Re(z r'(z) / r(z)) for a point z on the unit circle.
+
+    NearZeroOfR only where r(z) is exactly 0 or the quotient is not finite;
+    no threshold on |r(z)|, so r -> 2^j r leaves the value bit for bit.
+    """
     z = complex(z)
     _check_on_unit_circle(z)
     rv, deriv, _ = _pole_sums(r, z)
-    if abs(rv) <= 1e-10:
-        raise NearZeroOfR(f"|r(z)| = {abs(rv):.3g} too small for a log derivative")
-    return float((z * deriv / rv).real)
+    if rv == 0:
+        raise NearZeroOfR("r(z) = 0, so the log derivative is undefined")
+    q = z * deriv / rv
+    if not np.isfinite(q):
+        raise NearZeroOfR(f"z r'(z) / r(z) = {q!r} at |r(z)| = {abs(rv):.3g} is not finite")
+    return float(q.real)

@@ -55,7 +55,8 @@ def _load_instance(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bad UTF-8, an integer past Python's digit limit, or nesting past the recursion limit.
         raise ParseError(f"{path} is not valid JSON: {exc}")
     try:
         return instance_from_dict(doc)

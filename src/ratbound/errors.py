@@ -26,7 +26,7 @@ class NonConvergence(RatboundError):
 
 
 class NearZeroOfR(RatboundError):
-    """Logarithmic derivative requested where the function nearly vanishes."""
+    """Logarithmic derivative requested where r(z) = 0 or z r'(z)/r(z) is not finite."""
 
 
 class HypothesisViolated(RatboundError):

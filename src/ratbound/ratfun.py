@@ -93,8 +93,11 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial([0.0])
-        k = np.arange(1, self.coeffs.size)
-        return Polynomial(self.coeffs[1:] * k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = self.coeffs[1:] * np.arange(1, self.coeffs.size)
+        if not np.all(np.isfinite(coeffs)):
+            raise ParameterOutOfRange("derivative coefficients leave the double range")
+        return Polynomial(coeffs)
 
     def roots(self) -> np.ndarray:
         """Roots with multiplicity; the construction-time cache wins."""

@@ -510,6 +510,23 @@ def test_sweep_context_equals_public_scans(count):
         assert ctx.m == min_modulus_on_circle(r, k, CircleGrid(k, count)).value, (theorem, k, n)
 
 
+def test_small_minimum_is_kept_at_every_scale():
+    # ||r|| = 2e-7 and m = 1.2e-14 on |z| = 0.7, with no zero near that circle:
+    # m is a real minimum, not a 0, and 2^j r gets 2^j times every number.
+    (r,) = generate(
+        GeneratorSpec(n=24, t=24, zero_region=hypothesis_zero_location(TheoremId.MAIN_LOWER, 0.7), seed=4624, count=1)
+    )
+    grid = CircleGrid(0.7, 4096)
+    base = certify(TheoremId.MAIN_LOWER, r, grid)
+    assert base.context.m > 0
+    for j in (-60, -20, 20):
+        lead = r.numer.coeffs[-1] * 2.0**j
+        got = certify(TheoremId.MAIN_LOWER, RationalFunction.from_zeros(r.zeros(), r.poles, lead), grid)
+        assert got.context.m == np.ldexp(base.context.m, j), j
+        assert got.context.norm == np.ldexp(base.context.norm, j), j
+        assert got.min_margin == np.ldexp(base.min_margin, j), j
+
+
 def test_m_on_the_unit_circle_comes_from_the_sweep_pass(monkeypatch):
     # When m's circle is |z| = 1 the sweep's own pass over the poles gives |r|
     # on the grid, so no scan evaluates r on a whole grid again; only the

@@ -11,14 +11,17 @@ from ratbound import (
     BlaschkeProduct,
     CircleGrid,
     CounterRng,
+    GeneratorSpec,
     NearZeroOfR,
     OffCircle,
     PoleOnCircle,
     PoleSet,
     Polynomial,
     RationalFunction,
+    ZeroLocation,
     ZeroOnContour,
     blaschke_deriv_modulus_on_T1,
+    generate,
     log_derivative_real_part,
     min_modulus_on_circle,
     rat_eval,
@@ -210,8 +213,6 @@ def golden_scan_reference(r, k, count, maximize):
     grid = CircleGrid(k, count)
     vals = np.abs(rat_eval(r, grid.points()))
     best = int(np.argmax(vals) if maximize else np.argmin(vals))
-    if not maximize and vals[best] < circlescan.ZERO_SNAP:
-        return 0.0
     theta = float(grid.thetas()[best])
     step = 2.0 * np.pi / count
 
@@ -221,8 +222,6 @@ def golden_scan_reference(r, k, count, maximize):
     _, val = golden_reference(modulus, theta - step, theta + step, maximize)
     if (maximize and val < vals[best]) or (not maximize and val > vals[best]):
         val = float(vals[best])
-    if not maximize and val < circlescan.ZERO_SNAP:
-        return 0.0
     return val
 
 
@@ -282,6 +281,32 @@ def test_refinement_call_budget(monkeypatch):
             res = scan(r, 1.0, CircleGrid(1.0, count))
             assert res.refined
             assert len(calls) <= 10, (scan.__name__, count, calls)
+
+
+# r -> 2^j r scales every |r| and r' by 2^j without rounding, far from
+# overflow and subnormals, so no answer may depend on the size of r.
+SCALES = (-60, -20, 20)
+
+
+def scaled(r: RationalFunction, j: int) -> RationalFunction:
+    """2^j r, expanded from r's zeros like r, so each coefficient is exactly 2^j times r's."""
+    return RationalFunction.from_zeros(r.zeros(), r.poles, r.numer.coeffs[-1] * 2.0**j)
+
+
+@pytest.mark.parametrize("n", [3, 12, 24])
+def test_scans_commute_with_power_of_two_scaling(n):
+    # Zeros on either side of the circle, each extremum on |z| = 1 and on |z| = k.
+    for region in (ZeroLocation.all_outside_or_on(1.5), ZeroLocation.all_inside_or_on(0.7)):
+        k = region.k
+        for r in generate(GeneratorSpec(n=n, t=n, zero_region=region, seed=3330 + n, count=5)):
+            for radius in (1.0, k):
+                grid = CircleGrid(radius, 1024)
+                for scan in (sup_modulus_on_circle, min_modulus_on_circle):
+                    base = scan(r, radius, grid)
+                    for j in SCALES:
+                        got = scan(scaled(r, j), radius, grid)
+                        assert got.value == math.ldexp(base.value, j), (n, k, radius, scan.__name__, j)
+                        assert got.arg_at == base.arg_at, (n, k, radius, scan.__name__, j)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +382,19 @@ def test_log_derivative_guards():
     vanishing = RationalFunction.from_zeros([1.0], PoleSet([2.0]))
     with pytest.raises(NearZeroOfR):
         log_derivative_real_part(vanishing, 1.0)
+
+
+def test_log_derivative_is_scale_free():
+    # A small |r(z)| is no reason to refuse: z r'/r is the same number for 2^j r.
+    rng = CounterRng(3311)
+    thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    for trial in range(20):
+        r = random_instance(rng.split(trial))
+        for theta in thetas:
+            z = unit_point(theta)
+            base = log_derivative_real_part(r, z)
+            for j in SCALES:
+                assert log_derivative_real_part(scaled(r, j), z) == base, (trial, theta, j)
 
 
 def test_denominator_log_derivative_identity():

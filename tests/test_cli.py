@@ -1,5 +1,7 @@
 """Exit codes, CSV output, and report determinism of the console entry point."""
 
+import cmath
+import copy
 import json
 import time
 import warnings
@@ -8,11 +10,13 @@ import pytest
 
 from ratbound import (
     CircleGrid,
+    CounterRng,
     GeneratorSpec,
     TheoremId,
     ZeroLocation,
     certify,
     generate,
+    hypothesis_zero_location,
     instance_to_dict,
     make_extremal,
     margin_curve,
@@ -193,6 +197,10 @@ def test_overflow_prints_no_numpy_warning(tmp_path, capsys, doc):
 BIG_ZERO = {"poles": [[3, 0]], "zeros": [[1e200, 0]], "leading": [1, 0]}
 # A JSON integer beyond the double range.
 HUGE_INT = 10**400
+# Every coefficient is finite, but 2 * leading, a coefficient of r', is not.
+DERIVATIVE_OVERFLOWS = {
+    "poles": [[3, 0], [3, 0]], "zeros": [[0.5, 0], [-0.25, 0]], "leading": [1.7976931348623157e308, 0]
+}
 
 
 @pytest.mark.parametrize(
@@ -207,9 +215,12 @@ HUGE_INT = 10**400
         (BIG_ZERO, ["curves", "{inst}", "main-upper", "{dir}/curve.csv", "--k", "1.5"]),
         ({"poles": [[HUGE_INT, 0]], "zeros": [[-2, 0]], "leading": [1, 0]}, ["certify", "{inst}", "main-upper"]),
         ({"poles": [[3, 0]], "zeros": [[-2, 0]], "leading": [1, 0], "k": HUGE_INT}, ["certify", "{inst}", "main-upper"]),
+        (DERIVATIVE_OVERFLOWS, ["certify", "{inst}", "li-lower"]),
+        (DERIVATIVE_OVERFLOWS, ["curves", "{inst}", "li-lower", "{dir}/curve.csv"]),
     ],
     ids=["leading-one-part", "pole-max-squared-overflows", "pole-1e200", "pole-imag-1e300",
-         "big-zero-certify", "big-zero-curves", "pole-huge-int", "k-huge-int"],
+         "big-zero-certify", "big-zero-curves", "pole-huge-int", "k-huge-int",
+         "derivative-overflows-certify", "derivative-overflows-curves"],
 )
 def test_malformed_or_overflowing_input_exits_one(tmp_path, capsys, doc, argv):
     inst = tmp_path / "inst.json"
@@ -228,6 +239,122 @@ def test_big_zero_still_certifies_the_unrefined_arm(tmp_path, capsys):
     path.write_text(json.dumps(BIG_ZERO), encoding="utf-8")
     assert main(["certify", str(path), "li-upper"]) == 0
     assert "violations   0" in capsys.readouterr().out
+
+
+# What an instance file may hold where a finite number belongs.
+ODD_NUMBERS = (0, -0.0, 1e-320, 1e-300, 1e300, 1.7976931348623157e308, float("nan"), float("inf"), -float("inf"),
+               10**400, -(10**400))
+# What it may hold where a list, a pair or a number belongs.
+ODD_SHAPES = (None, True, "1", "ab", [], [1.0], [1.0, 2.0, 3.0], [[1.0, 0.0]], {"re": 1.0}, [[[2.0, 0.0]]])
+# Files that are not a JSON document json.load can return.
+ODD_TEXTS = (
+    b"",
+    b"{not json",
+    b'{"poles": [[3, 0]], "zeros": [], "leading": [1, 0], "k": "\xff"}',
+    b"[" * 100000 + b"]" * 100000,
+    b'{"poles": [], "zeros": [], "leading": [1, 0], "k": ' + b"9" * 5000 + b"}",
+)
+# --k values, None for the file's own k or 1.
+ODD_KS = (None, None, None, None, "0.7", "1", "1.5", "0", "-1", "nan", "inf", "1e400")
+DOCUMENTED_EXITS = (0, 1, 2, 3, 4)
+
+
+def bad_instance(sub: CounterRng, theorem: TheoremId):
+    """An instance file for theorem drawn from sub: a dict, or raw bytes from ODD_TEXTS.
+
+    Zeros are drawn on the theorem's side of |z| = k, so that valid files
+    reach the scans.  A third of the files are valid but extreme (a pole
+    next to a circle, a zero on a pole or on |z| = k, a magnitude near an
+    end of the double range); the rest are malformed.
+    """
+    kind = sub.next_u64() % 12
+    if kind == 0:
+        return ODD_TEXTS[sub.next_u64() % len(ODD_TEXTS)]
+    if kind == 1:
+        return [None, [], 3.0, "poles", [[3, 0]]][sub.next_u64() % 5]
+    n = 1 + sub.next_u64() % 4
+    outside = hypothesis_zero_location(theorem, 1.0) == ZeroLocation.all_outside_or_on(1.0)
+    k = ((0.7, 1.0), (1.0, 1.5))[outside][sub.next_u64() % 2]
+    poles = [cmath.rect(sub.next_radius(1.1, 3.0), sub.next_angle()) for _ in range(n)]
+    t = n if sub.next_u64() % 2 else sub.next_u64() % (n + 1)
+    moduli = [k * (1.0 + sub.next_float() if outside else sub.next_float()) for _ in range(t)]
+    zeros = [cmath.rect(rho, sub.next_angle()) for rho in moduli]
+    lead = 0.5 + sub.next_float()
+    if kind == 2 and zeros:  # a zero on a pole, or next to it
+        zeros[0] = poles[sub.next_u64() % n] + (0.0, 1e-13, 1e-11, 1e-9)[sub.next_u64() % 4]
+    elif kind == 3:  # a pole next to |z| = 1 or |z| = k
+        radius = (1.0, k)[sub.next_u64() % 2] + (-1e-6, 1e-13, 1e-10, 1e-9, 2e-9, 1e-6)[sub.next_u64() % 6]
+        poles[0] = cmath.rect(radius, sub.next_angle())
+    elif kind == 4 and zeros:  # a zero on |z| = k
+        zeros[0] = cmath.rect(k, sub.next_angle())
+    elif kind == 5:  # a magnitude near an end of the double range
+        scale = (1e-320, 1e-300, 1e-150, 1e150, 1e300)[sub.next_u64() % 5]
+        which = sub.next_u64() % 3
+        if which == 0:
+            lead *= scale
+        elif which == 1 and scale > 1:
+            poles[0] *= scale
+        elif zeros:
+            zeros[0] *= scale
+    doc = {
+        "poles": [[a.real, a.imag] for a in poles],
+        "zeros": [[b.real, b.imag] for b in zeros],
+        "leading": [lead, 0.0],
+        "k": k,
+    }
+    for _ in range(0 if kind < 6 else 1 + kind % 2):
+        fault = sub.next_u64() % 4
+        key = ("poles", "zeros", "leading", "k")[sub.next_u64() % 4]
+        value = doc.get(key)
+        if fault == 0:
+            doc.pop(key, None)
+        elif fault == 1:
+            doc[key] = copy.deepcopy(ODD_SHAPES[sub.next_u64() % len(ODD_SHAPES)])
+        elif key == "k":
+            doc[key] = ODD_NUMBERS[sub.next_u64() % len(ODD_NUMBERS)]
+        elif isinstance(value, list) and value:
+            # An odd number in one pair, or an odd shape in place of the pair.
+            i = sub.next_u64() % len(value)
+            if fault == 2 and key != "leading":
+                value[i] = copy.deepcopy(ODD_SHAPES[sub.next_u64() % len(ODD_SHAPES)])
+            elif key == "leading":
+                value[i % 2] = ODD_NUMBERS[sub.next_u64() % len(ODD_NUMBERS)]
+            elif isinstance(value[i], list) and len(value[i]) == 2:
+                value[i][sub.next_u64() % 2] = ODD_NUMBERS[sub.next_u64() % len(ODD_NUMBERS)]
+    return doc
+
+
+def test_bad_instance_sweep_exits_with_documented_codes(tmp_path, capsys):
+    # Every file ends in a documented exit code, exit 1 with one line on
+    # stderr and nothing on stdout; no exception gets out of main.
+    rng = CounterRng(4601)
+    theorems = list(TheoremId)
+    seen = set()
+    for case in range(300):
+        sub = rng.split(case)
+        theorem = theorems[sub.next_u64() % len(theorems)]
+        doc = bad_instance(sub, theorem)
+        path = tmp_path / "inst.json"
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "curve.csv"
+        argv = [str(path), theorem.value, "--grid", "64"]
+        argv = ["curves"] + argv[:2] + [str(out)] + argv[2:] if sub.next_u64() % 2 else ["certify"] + argv
+        k = ODD_KS[sub.next_u64() % len(ODD_KS)]
+        if k is not None:
+            argv += ["--k", k]
+        code = main(argv)
+        captured = capsys.readouterr()
+        where = (case, argv[0], k, repr(doc)[:200])
+        assert code in DOCUMENTED_EXITS, where
+        if code == 1:
+            assert captured.out == "" and len(captured.err.splitlines()) == 1, (where, captured)
+        else:
+            assert captured.err == "", (where, captured)
+        seen.add(code)
+    assert seen == set(DOCUMENTED_EXITS)
 
 
 # ---------------------------------------------------------------------------
