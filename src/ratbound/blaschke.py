@@ -7,7 +7,10 @@ For poles a_1, ..., a_n with |a_j| > 1 the product
 is unimodular on the unit circle, and there z B'(z)/B(z) is real and
 strictly positive, with the closed form
 
-    |B'(z)| = sum_j (|a_j|^2 - 1) / |z - a_j|^2.
+    |B'(z)| = sum_j (|a_j|^2 - 1) / |z - a_j|^2 = n - 2 Re(z w'(z)/w(z)),
+
+with w(z) = prod_j (z - a_j), since on |z| = 1 each term is 1 - 2 Re(z/(z - a_j)).
+The second form is evaluated, from the sum w'/w that r' needs anyway.
 
 The conjugate transform r*(z) = B(z) * conj(r(1 / conj(z))) enters the
 bound proofs only through |(r*)'| on the circle, which has the stable
@@ -27,8 +30,15 @@ UNIT_CIRCLE_TOL = 1e-12
 
 def _check_on_unit_circle(z):
     drift = float(np.max(np.abs(np.abs(z) - 1.0), initial=0.0))
-    if drift > UNIT_CIRCLE_TOL:
+    if not drift <= UNIT_CIRCLE_TOL:  # so that a NaN point is off the circle
         raise OffCircle(f"point off the unit circle by {drift:.3g}")
+
+
+def _check_bprime_domain(poles: PoleSet):
+    """Refuse a pole whose |a|^2 overflows: |B'| is taken only below about 1.3e154."""
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.abs(poles.as_array()) ** 2)):
+            raise ParameterOutOfRange("a pole above 1.3e154 puts |B'(z)| outside the double range")
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -75,7 +85,7 @@ def blaschke_eval(b: BlaschkeProduct, zs):
     acc = np.ones(zs.shape, dtype=np.complex128)
     for a in b.poles.poles:
         d = zs - a
-        _check_distance(np.abs(d))
+        _check_distance(d)
         num = 1.0 - np.conj(a) * zs
         acc = acc * num / d
     return acc
@@ -83,19 +93,18 @@ def blaschke_eval(b: BlaschkeProduct, zs):
 
 @pointwise
 def blaschke_deriv_modulus_on_T1(b: BlaschkeProduct, zs):
-    """|B'(z)| for |z| = 1 via sum_j (|a_j|^2 - 1)/|z - a_j|^2.
+    """|B'(z)| for |z| = 1 via n - 2 Re(z sum_j 1/(z - a_j)), bit for bit as the sweep has it.
 
-    Returns a strictly positive real for a nonempty pole set and 0.0
-    for the empty product.  Raises OffCircle when |z| strays from 1 by
-    more than 1e-12, and ParameterOutOfRange when a pole is so large
-    (above about 1.3e154) that a term overflows.
+    Returns a strictly positive real for a nonempty pole set and 0.0 for the
+    empty product.  Raises OffCircle when |z| strays from 1 by more than 1e-12,
+    and ParameterOutOfRange for a pole whose |a|^2 overflows or a value that is not finite.
     """
     _check_on_unit_circle(zs)
-    acc = np.zeros(zs.shape, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in b.poles.poles:
-            acc += (np.hypot(a.real, a.imag) ** 2 - 1.0) / np.abs(zs - a) ** 2
-    return _finite(acc, "|B'(z)| values")
+    _check_bprime_domain(b.poles)
+    logw = np.zeros(zs.shape, dtype=np.complex128)
+    for a in b.poles.poles:
+        logw += 1.0 / (zs - a)
+    return _finite(b.poles.n - 2.0 * (zs * logw).real, "|B'(z)| values")
 
 
 @pointwise
@@ -104,8 +113,9 @@ def star_transform_deriv_modulus(r: RationalFunction, zs):
 
     Uses the circle identity |(r*)'(z)| = | |B'(z)| r(z) - z r'(z) |,
     which avoids differentiating the conjugated argument numerically.
-    Raises ParameterOutOfRange when a value leaves the double range.
+    Raises ParameterOutOfRange for a pole above 1.3e154 or a non-finite value.
     """
     _check_on_unit_circle(zs)
+    _check_bprime_domain(r.poles)
     rv, deriv, bprime = _pole_sums(r, zs)
     return _finite(np.abs(bprime * rv - zs * deriv), "|(r*)'(z)| values")

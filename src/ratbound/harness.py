@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import TheoremId, certify, hypothesis_zero_location, profile
 from .circlescan import CircleGrid
-from .errors import DegenerateBound, HypothesisMismatch, SpecInvalid
+from .errors import DegenerateBound, HypothesisMismatch, ParseError, SpecInvalid
 from .ratfun import MODE_OUTSIDE, PoleSet, RationalFunction, ZeroLocation
 from .rng import CounterRng
 
@@ -122,12 +122,19 @@ def instance_to_dict(r: RationalFunction, k: float | None = None) -> dict:
     return doc
 
 
+def _number(x):
+    """x, unless it is a boolean or a string: JSON true, false and "0.7" are not numbers."""
+    if isinstance(x, (bool, str)):
+        raise ParseError(f"{x!r} where a number belongs")
+    return x
+
+
 def instance_from_dict(doc: dict) -> tuple:
     """(RationalFunction, k or None) from the plain-list form."""
-    poles = PoleSet([complex(re, im) for re, im in doc["poles"]])
-    zeros = [complex(re, im) for re, im in doc["zeros"]]
-    lead = complex(doc["leading"][0], doc["leading"][1])
-    k = float(doc["k"]) if "k" in doc else None
+    poles = PoleSet([complex(_number(re), _number(im)) for re, im in doc["poles"]])
+    zeros = [complex(_number(re), _number(im)) for re, im in doc["zeros"]]
+    lead = complex(_number(doc["leading"][0]), _number(doc["leading"][1]))
+    k = float(_number(doc["k"])) if "k" in doc else None
     return RationalFunction.from_zeros(zeros, poles, lead), k
 
 

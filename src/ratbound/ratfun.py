@@ -47,7 +47,7 @@ def _as_complex_array(values, what: str) -> np.ndarray:
 class Polynomial:
     """Polynomial with complex coefficients, ascending powers."""
 
-    __slots__ = ("coeffs", "_roots")
+    __slots__ = ("coeffs", "_roots", "_deriv")
 
     def __init__(self, coeffs):
         arr = _as_complex_array(coeffs, "coefficients")
@@ -60,6 +60,7 @@ class Polynomial:
         self.coeffs = arr[: last + 1].copy()
         self.coeffs.flags.writeable = False
         self._roots: np.ndarray | None = None
+        self._deriv: Polynomial | None = None
 
     @classmethod
     def from_roots(cls, roots, leading=1.0) -> "Polynomial":
@@ -91,13 +92,14 @@ class Polynomial:
         return poly_eval(self, z)
 
     def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0.0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = self.coeffs[1:] * np.arange(1, self.coeffs.size)
-        if not np.all(np.isfinite(coeffs)):
-            raise ParameterOutOfRange("derivative coefficients leave the double range")
-        return Polynomial(coeffs)
+        """p', formed on the first call only: the coefficients are immutable."""
+        if self._deriv is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                coeffs = self.coeffs[1:] * np.arange(1, self.coeffs.size)
+            if not np.all(np.isfinite(coeffs)):
+                raise ParameterOutOfRange("derivative coefficients leave the double range")
+            self._deriv = Polynomial(coeffs if coeffs.size else [0.0])
+        return self._deriv
 
     def roots(self) -> np.ndarray:
         """Roots with multiplicity; the construction-time cache wins."""
@@ -267,11 +269,15 @@ class RationalFunction:
         return rat_eval(self, z)
 
 
-def _check_distance(dist: np.ndarray):
-    """Raise NearPole if any distance to a pole is below POLE_PROXIMITY_CUTOFF."""
-    nearest = float(dist.min(initial=np.inf))
-    if nearest < POLE_PROXIMITY_CUTOFF:
-        raise NearPole(f"evaluation point within {nearest:.3g} of a pole")
+def _check_distance(d: np.ndarray):
+    """Raise NearPole if some d = z - a_j has |d| < POLE_PROXIMITY_CUTOFF (a NaN |d| passes).
+
+    |d| >= |Re d|, so |d| is formed only when some |Re d| is below the cutoff or NaN.
+    """
+    if not np.abs(d.real).min(initial=np.inf) >= POLE_PROXIMITY_CUTOFF:
+        nearest = float(np.abs(d).min(initial=np.inf))
+        if nearest < POLE_PROXIMITY_CUTOFF:
+            raise NearPole(f"evaluation point within {nearest:.3g} of a pole")
 
 
 def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
@@ -286,7 +292,7 @@ def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
     den = np.ones(zs.shape, dtype=np.complex128)
     for a in r.poles.poles:
         d = zs - a
-        _check_distance(np.abs(d))
+        _check_distance(d)
         den = den * d
     return den
 
@@ -299,31 +305,27 @@ def rat_eval(r: RationalFunction, zs):
 
 @pointwise
 def _pole_sums(r: RationalFunction, zs):
-    """r(z), r'(z) and sum_j (|a_j|^2 - 1)/|z - a_j|^2.
+    """r(z), r'(z) and n - 2 Re(z w'(z)/w(z)), which is |B'(z)| on |z| = 1.
 
-    One loop over the poles: for d = z - a_j, |d| feeds the NearPole check
-    and the last sum, which is |B'(z)| on |z| = 1, and 1/d feeds w'/w.
-    Every value is computed in the operation order of rat_eval and
+    One loop over the poles: d = z - a_j feeds the NearPole check, the
+    denominator product w and w'/w = sum_j 1/d, and on |z| = 1 each term
+    (|a_j|^2 - 1)/|z - a_j|^2 of |B'| is 1 - 2 Re(z/(z - a_j)).  Every
+    value is computed in the operation order of rat_eval and
     blaschke_deriv_modulus_on_T1, so it equals theirs bit for bit.  The
-    loop runs with overflow and invalid-operation warnings off: the |B'|
-    terms of a pole above about 1.3e154 overflow to inf or nan, which r
-    and r' do not use, and the callers that need |B'| refuse a value that
-    is not finite.
+    loop runs with overflow and invalid-operation warnings off, since w
+    may overflow; the callers refuse a value that is not finite.
     """
     den = np.ones(zs.shape, dtype=np.complex128)
     logw = np.zeros(zs.shape, dtype=np.complex128)
-    bprime = np.zeros(zs.shape, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for a in r.poles.poles:
             d = zs - a
-            dist = np.abs(d)
-            _check_distance(dist)
-            bprime += (np.hypot(a.real, a.imag) ** 2 - 1.0) / dist**2
+            _check_distance(d)
             logw += 1.0 / d
             den = den * d
     pv = _horner(r.numer.coeffs, zs)
     dv = _horner(r.numer.derivative().coeffs, zs)
-    return pv / den, (dv - pv * logw) / den, bprime
+    return pv / den, (dv - pv * logw) / den, r.poles.n - 2.0 * (zs * logw).real
 
 
 @pointwise

@@ -17,6 +17,7 @@ from ratbound import (
     RationalFunction,
     blaschke_deriv_modulus_on_T1,
     blaschke_eval,
+    log_derivative_real_part,
     rat_derivative_eval,
     rat_eval,
     star_transform_deriv_modulus,
@@ -134,6 +135,29 @@ def test_huge_pole_refused_without_warnings():
         assert abs(rat_derivative_eval(r, 1.0) + 1e-200) <= 1e-215
 
 
+def test_deriv_modulus_accuracy_against_50_digits():
+    # |B'| is n - 2 Re(z sum_j 1/(z - a_j)).  Rounding puts a few eps times
+    # |z - a_j|^-1 into each term, and |z - a_j|^-1 is at most the term's
+    # value (|a_j|^2 - 1)/|z - a_j|^2 over |a_j| - 1, so the sum is off by at
+    # most 4(n + 3) eps / (min |a| - 1) of |B'|, plus eps for rounding the result.
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(np.float64).eps
+    with mpmath.workdps(50):
+        for n in (1, 3, 12, 24):
+            for trial in range(5):
+                sub = CounterRng(9400 + n).split(trial)
+                poles = PoleSet([(1.0 + 10.0 ** (-2.0 + 8.0 * sub.next_float())) * unit_point(sub.next_angle())
+                                 for _ in range(n)])
+                zs = np.array([unit_point(sub.next_angle()) for _ in range(64)])
+                got = blaschke_deriv_modulus_on_T1(BlaschkeProduct(poles), zs)
+                nearest = min(abs(a) for a in poles.poles)
+                bound = eps + 4 * (n + 3) * eps / (nearest - 1.0)
+                for z, value in zip(zs, got):
+                    exact = sum((abs(mpmath.mpc(a)) ** 2 - 1) / abs(mpmath.mpc(z) - mpmath.mpc(a)) ** 2
+                                for a in poles.poles)
+                    assert abs(mpmath.mpf(float(value)) - exact) / exact <= bound, (n, trial, z)
+
+
 def test_eval_near_pole_rejected():
     b = BlaschkeProduct(PoleSet([2.0]))
     with pytest.raises(NearPole):
@@ -181,6 +205,21 @@ def test_deriv_modulus_rejects_off_circle():
     b = BlaschkeProduct(PoleSet([2.0]))
     with pytest.raises(OffCircle):
         blaschke_deriv_modulus_on_T1(b, 1.001)
+
+
+def test_nan_point_is_off_the_circle_without_warnings():
+    # The |B'| identity divides by z - a, which warns on a NaN point.
+    b = BlaschkeProduct(PoleSet([2.0]))
+    r = RationalFunction.from_zeros([0.5], b.poles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, obj in ((blaschke_deriv_modulus_on_T1, b), (star_transform_deriv_modulus, r),
+                        (log_derivative_real_part, r)):
+            for z in (complex(np.nan, 0.0), complex(0.0, np.nan)):
+                with pytest.raises(OffCircle):
+                    fn(obj, z)
+        with pytest.raises(OffCircle):
+            blaschke_deriv_modulus_on_T1(b, np.array([1.0, np.nan]))
 
 
 def test_log_derivative_real_positive_on_circle():

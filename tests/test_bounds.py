@@ -671,6 +671,22 @@ def test_wide_certify_stays_in_a_few_megabytes():
     assert peak - start <= 6 * 2**20
 
 
+def test_certify_keeps_no_grid_after_the_call():
+    # 2^17 points is a grid count no other test uses, so an array cached per
+    # count, such as the circle points, would still be held after the call.
+    spec = GeneratorSpec(n=3, t=3, zero_region=ZeroLocation.all_inside_or_on(0.7), seed=4610, count=1)
+    (r,) = generate(spec)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        verdict = certify(TheoremId.MAIN_LOWER, r, CircleGrid(0.7, 1 << 17))
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed
+    assert kept < 64 * 2**10
+
+
 def test_certify_boundary_zero_corollary():
     spec = GeneratorSpec(
         n=3,

@@ -233,6 +233,26 @@ def test_malformed_or_overflowing_input_exits_one(tmp_path, capsys, doc, argv):
     assert not (tmp_path / "curve.csv").exists() and not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ({"poles": [[3, 0]], "zeros": [[True, False]], "leading": [True, 0], "k": True}, ["certify", "{inst}", "li-upper"]),
+        ({"poles": [[3, 0]], "zeros": [[-2, 0]], "leading": [1, 0], "k": False},
+         ["certify", "{inst}", "li-upper", "--k", "1"]),
+        ({"poles": [[3, 0]], "zeros": [[0.5, 0]], "leading": [1, 0], "k": "0.7"}, ["certify", "{inst}", "main-lower"]),
+    ],
+    ids=["booleans", "k-false-under-flag", "k-string"],
+)
+def test_boolean_or_string_where_a_number_belongs_exits_one(tmp_path, capsys, doc, argv):
+    # Python reads JSON true and false as 1 and 0, and float() reads "0.7";
+    # an instance file means none of them.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([a.format(inst=inst) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
 def test_big_zero_still_certifies_the_unrefined_arm(tmp_path, capsys):
     # li-upper drops the squared term, so nothing overflows.
     path = tmp_path / "inst.json"

@@ -25,7 +25,7 @@ from ratbound import (
     star_transform_deriv_modulus,
 )
 from ratbound import ratfun
-from ratbound.ratfun import EVAL_BLOCK, _pole_sums
+from ratbound.ratfun import EVAL_BLOCK, POLE_PROXIMITY_CUTOFF, _pole_sums
 
 
 def unit_point(theta: float) -> complex:
@@ -268,6 +268,41 @@ def test_rat_eval_near_pole_rejected():
         rat_eval(r, zs)
     with pytest.raises(NearPole):
         rat_eval(r, complex(zs[40000]))
+
+
+def test_distance_prefilter_refuses_exactly_where_the_modulus_does():
+    # The NearPole check forms |z - a| only where |Re(z - a)| is below the
+    # cutoff.  Points 1e-14 to 1e-10 from a pole in random directions fall on
+    # both sides of the cutoff; a purely imaginary offset has Re(z - a) = 0
+    # and |z - a| above it, and a purely real one of 1e-13 is below it.
+    rng = CounterRng(9300)
+    poles = PoleSet([rng.next_radius(1.1, 3.0) * unit_point(rng.next_angle()) for _ in range(3)])
+    r = RationalFunction.from_zeros([0.5, -0.25j], poles)
+    b = BlaschkeProduct(poles)
+    grid = np.exp(2j * np.pi * np.arange(65536) / 65536)
+    offsets = [10.0 ** (-14.0 + 4.0 * rng.next_float()) * unit_point(rng.next_angle()) for _ in range(6)]
+    offsets += [complex(0.0, 10.0 ** (-11.8 + 1.8 * rng.next_float())), 1e-13]
+    seen = set()
+    for a in poles.poles:
+        for off in offsets:
+            z = a + off
+            few = np.array([unit_point(rng.next_angle()) for _ in range(7)])
+            few[rng.next_u64() % 7] = z
+            wide = grid.copy()
+            wide[rng.next_u64() % wide.size] = z
+            for zs in (z, few, wide):
+                near = min(float(np.abs(np.asarray(zs) - p).min()) for p in poles.poles) < POLE_PROXIMITY_CUTOFF
+                assert near == (abs(z - a) < POLE_PROXIMITY_CUTOFF)
+                if off.real == 0.0 or off == 1e-13:
+                    assert near == (off == 1e-13)
+                seen.add(near)
+                for fn, obj in ((rat_eval, r), (rat_derivative_eval, r), (blaschke_eval, b)):
+                    if near:
+                        with pytest.raises(NearPole):
+                            fn(obj, zs)
+                    else:
+                        fn(obj, zs)
+    assert seen == {False, True}
 
 
 def quotient_rule_reference(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
