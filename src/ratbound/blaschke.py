@@ -10,7 +10,7 @@ strictly positive, with the closed form
     |B'(z)| = sum_j (|a_j|^2 - 1) / |z - a_j|^2 = n - 2 Re(z w'(z)/w(z)),
 
 with w(z) = prod_j (z - a_j), since on |z| = 1 each term is 1 - 2 Re(z/(z - a_j)).
-The second form is evaluated, from the sum w'/w that r' needs anyway.
+The second form is evaluated, from the quotient w'/w that r' needs anyway.
 
 The conjugate transform r*(z) = B(z) * conj(r(1 / conj(z))) enters the
 bound proofs only through |(r*)'| on the circle, which has the stable
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OffCircle, ParameterOutOfRange
-from .ratfun import PoleSet, RationalFunction, _check_distance, _pole_sums, pointwise
+from .ratfun import PoleSet, RationalFunction, _check_distance, _log_derivative, _pole_sums, pointwise
 
 # How far |z| may sit from 1 before circle-only formulas are refused.
 UNIT_CIRCLE_TOL = 1e-12
@@ -82,10 +82,10 @@ def blaschke_eval(b: BlaschkeProduct, zs):
     Both factors are named, as in ratfun._denominator, so that numpy
     cannot write a product into a factor's temporary with swapped operands.
     """
+    _check_distance(zs, b.poles)
     acc = np.ones(zs.shape, dtype=np.complex128)
     for a in b.poles.poles:
         d = zs - a
-        _check_distance(d)
         num = 1.0 - np.conj(a) * zs
         acc = acc * num / d
     return acc
@@ -93,17 +93,17 @@ def blaschke_eval(b: BlaschkeProduct, zs):
 
 @pointwise
 def blaschke_deriv_modulus_on_T1(b: BlaschkeProduct, zs):
-    """|B'(z)| for |z| = 1 via n - 2 Re(z sum_j 1/(z - a_j)), bit for bit as the sweep has it.
+    """|B'(z)| for |z| = 1 via n - 2 Re(z w'(z)/w(z)), bit for bit as the sweep has it.
 
     Returns a strictly positive real for a nonempty pole set and 0.0 for the
     empty product.  Raises OffCircle when |z| strays from 1 by more than 1e-12,
-    and ParameterOutOfRange for a pole whose |a|^2 overflows or a value that is not finite.
+    and ParameterOutOfRange for a pole whose |a|^2 overflows, where w overflows
+    (w'/w could read 0 there, and |B'| n) or for a value that is not finite.
     """
     _check_on_unit_circle(zs)
     _check_bprime_domain(b.poles)
-    logw = np.zeros(zs.shape, dtype=np.complex128)
-    for a in b.poles.poles:
-        logw += 1.0 / (zs - a)
+    den, logw = _log_derivative(zs, b.poles)
+    _finite(den, "w(z) values")
     return _finite(b.poles.n - 2.0 * (zs * logw).real, "|B'(z)| values")
 
 

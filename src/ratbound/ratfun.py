@@ -10,6 +10,7 @@ root finder when the instance was generated from its zeros.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -194,10 +195,12 @@ class PoleSet:
 
     def __init__(self, poles=()):
         arr = _as_complex_array(list(poles), "poles")
-        if np.any(np.abs(arr) <= 1.0):
-            worst = arr[np.argmin(np.abs(arr))]
-            raise ValueError(f"pole {worst} has modulus <= 1")
+        moduli = np.abs(arr)
+        if np.any(moduli <= 1.0):
+            raise ValueError(f"pole {arr[np.argmin(moduli)]} has modulus <= 1")
         object.__setattr__(self, "poles", tuple(complex(a) for a in arr))
+        order = np.argsort(moduli, kind="stable")  # by computed modulus, for _check_distance
+        object.__setattr__(self, "_by_modulus", (tuple(moduli[order].tolist()), tuple(arr[order].tolist())))
 
     @property
     def n(self) -> int:
@@ -269,19 +272,30 @@ class RationalFunction:
         return rat_eval(self, z)
 
 
-def _check_distance(d: np.ndarray):
-    """Raise NearPole if some d = z - a_j has |d| < POLE_PROXIMITY_CUTOFF (a NaN |d| passes).
+def _check_distance(zs: np.ndarray, poles: PoleSet):
+    """Raise NearPole if some computed |z - a_j| < C = POLE_PROXIMITY_CUTOFF; NaN points are ignored.
 
-    |d| >= |Re d|, so |d| is formed only when some |Re d| is below the cutoff or NaN.
+    Since |z - a| >= ||z| - |a||, |z - a| is formed only for a pole whose modulus
+    is within S = 2 C + 8 eps hi of [lo, hi], the range of computed |z| over zs.
+    Why S suffices: np.abs of a complex is within 2 eps of the modulus (hypot is
+    within an ulp; numpy's l sqrt(1 + (s/l)^2) within 3.25 eps/2), and z - a rounds
+    by eps/2 per part, so a computed |z - a| < C means |z - a| < C (1 + 3 eps), and
+    the computed |z| and |a| differ by less than C (1 + 6 eps) + 4 eps hi (1 + 3 eps);
+    the rest of S covers the rounding of lo - S and hi + S.  On a scan circle of
+    radius below about 4e5 that the pole guard has passed, no pole is within S.
     """
-    if not np.abs(d.real).min(initial=np.inf) >= POLE_PROXIMITY_CUTOFF:
-        nearest = float(np.abs(d).min(initial=np.inf))
+    radii = np.abs(zs)
+    lo, hi = float(np.fmin.reduce(radii, initial=np.inf)), float(np.fmax.reduce(radii, initial=-np.inf))
+    slack = 2.0 * POLE_PROXIMITY_CUTOFF + 8.0 * 2.0**-52 * hi  # eps = 2^-52
+    moduli, by_modulus = poles._by_modulus
+    for a in by_modulus[bisect.bisect_left(moduli, lo - slack) : bisect.bisect_right(moduli, hi + slack)]:
+        nearest = float(np.fmin.reduce(np.abs(zs - a), initial=np.inf))
         if nearest < POLE_PROXIMITY_CUTOFF:
             raise NearPole(f"evaluation point within {nearest:.3g} of a pole")
 
 
 def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
-    """w(z) = prod_j (z - a_j) at the flat array zs, with the NearPole check pole by pole.
+    """w(z) = prod_j (z - a_j) at the flat array zs, after the NearPole check.
 
     Each factor d = z - a_j is named, so numpy cannot write the product
     into the temporary z - a_j with its operands swapped, and the product
@@ -289,12 +303,30 @@ def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
     take another SIMD loop.  Either would make a point of an array differ
     in the last bit from the same point evaluated alone.
     """
+    _check_distance(zs, r.poles)
     den = np.ones(zs.shape, dtype=np.complex128)
     for a in r.poles.poles:
         d = zs - a
-        _check_distance(d)
         den = den * d
     return den
+
+
+def _log_derivative(zs: np.ndarray, poles: PoleSet) -> tuple:
+    """w = prod_j (z - a_j) and w'/w by the product rule, with one division per point.
+
+    With d = z - a_j: w' <- w' d + w, then w <- w d, _denominator's product bit
+    for bit.  The error of w'/w is a few (n + 1) eps times sum_j 1/|z - a_j| at
+    most (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  Where
+    w overflows, w'/w is a signed zero while w' is finite and NaN once it is not.
+    """
+    den = np.ones(zs.shape, dtype=np.complex128)
+    dw = np.zeros(zs.shape, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for a in poles.poles:
+            d = zs - a
+            dw = dw * d + den
+            den = den * d
+        return den, dw / den
 
 
 @pointwise
@@ -307,22 +339,14 @@ def rat_eval(r: RationalFunction, zs):
 def _pole_sums(r: RationalFunction, zs):
     """r(z), r'(z) and n - 2 Re(z w'(z)/w(z)), which is |B'(z)| on |z| = 1.
 
-    One loop over the poles: d = z - a_j feeds the NearPole check, the
-    denominator product w and w'/w = sum_j 1/d, and on |z| = 1 each term
-    (|a_j|^2 - 1)/|z - a_j|^2 of |B'| is 1 - 2 Re(z/(z - a_j)).  Every
-    value is computed in the operation order of rat_eval and
-    blaschke_deriv_modulus_on_T1, so it equals theirs bit for bit.  The
-    loop runs with overflow and invalid-operation warnings off, since w
-    may overflow; the callers refuse a value that is not finite.
+    One NearPole check and one pass over the poles (_log_derivative) give
+    r = p/w and r' = (p' - p w'/w)/w; on |z| = 1 each term (|a_j|^2 - 1)/|z - a_j|^2
+    of |B'| is 1 - 2 Re(z/(z - a_j)).  r and |B'| equal rat_eval's and
+    blaschke_deriv_modulus_on_T1's bit for bit.  Where w overflows r has no
+    digits left; the callers refuse a value that is not finite.
     """
-    den = np.ones(zs.shape, dtype=np.complex128)
-    logw = np.zeros(zs.shape, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in r.poles.poles:
-            d = zs - a
-            _check_distance(d)
-            logw += 1.0 / d
-            den = den * d
+    _check_distance(zs, r.poles)
+    den, logw = _log_derivative(zs, r.poles)
     pv = _horner(r.numer.coeffs, zs)
     dv = _horner(r.numer.derivative().coeffs, zs)
     return pv / den, (dv - pv * logw) / den, r.poles.n - 2.0 * (zs * logw).real

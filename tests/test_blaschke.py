@@ -135,6 +135,20 @@ def test_huge_pole_refused_without_warnings():
         assert abs(rat_derivative_eval(r, 1.0) + 1e-200) <= 1e-215
 
 
+def test_deriv_modulus_refused_where_w_overflows():
+    # |B'| is read off w'/w, which has no digits where w = prod_j (z - a_j)
+    # leaves the double range: at z = -1 the poles below give |w| = 2.01e308,
+    # and w'/w would come out 0, so |B'| would read n = 3 against the true
+    # 2.005.  At z = 1, |w| = 1e306 and the value is the closed form's 203.
+    b = BlaschkeProduct(PoleSet([1e154, 1e154, 1.01]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (-1.0, np.array([1.0, -1.0])):
+            with pytest.raises(ParameterOutOfRange):
+                blaschke_deriv_modulus_on_T1(b, z)
+        assert abs(blaschke_deriv_modulus_on_T1(b, 1.0) - 203.0) <= 1e-12 * 203.0
+
+
 def test_deriv_modulus_accuracy_against_50_digits():
     # |B'| is n - 2 Re(z sum_j 1/(z - a_j)).  Rounding puts a few eps times
     # |z - a_j|^-1 into each term, and |z - a_j|^-1 is at most the term's

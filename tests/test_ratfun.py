@@ -270,52 +270,106 @@ def test_rat_eval_near_pole_rejected():
         rat_eval(r, complex(zs[40000]))
 
 
-def test_distance_prefilter_refuses_exactly_where_the_modulus_does():
-    # The NearPole check forms |z - a| only where |Re(z - a)| is below the
-    # cutoff.  Points 1e-14 to 1e-10 from a pole in random directions fall on
-    # both sides of the cutoff; a purely imaginary offset has Re(z - a) = 0
-    # and |z - a| above it, and a purely real one of 1e-13 is below it.
-    rng = CounterRng(9300)
-    poles = PoleSet([rng.next_radius(1.1, 3.0) * unit_point(rng.next_angle()) for _ in range(3)])
+def _assert_refuses_exactly_where_near(poles: PoleSet, z: complex, rng: CounterRng) -> bool:
+    """z alone, among 7 circle points and in a 65536-point grid: NearPole iff some computed |z - a| < cutoff."""
     r = RationalFunction.from_zeros([0.5, -0.25j], poles)
     b = BlaschkeProduct(poles)
-    grid = np.exp(2j * np.pi * np.arange(65536) / 65536)
+    few = np.array([unit_point(rng.next_angle()) for _ in range(7)])
+    few[rng.next_u64() % 7] = z
+    wide = np.exp(2j * np.pi * np.arange(65536) / 65536)
+    wide[rng.next_u64() % wide.size] = z
+    alone = min(abs(z - a) for a in poles.poles) < POLE_PROXIMITY_CUTOFF
+    for zs in (z, few, wide):
+        near = min(float(np.abs(np.asarray(zs) - a).min()) for a in poles.poles) < POLE_PROXIMITY_CUTOFF
+        assert near == alone
+        for fn, obj in ((rat_eval, r), (rat_derivative_eval, r), (blaschke_eval, b)):
+            if near:
+                with pytest.raises(NearPole):
+                    fn(obj, zs)
+            else:
+                fn(obj, zs)
+    return alone
+
+
+def test_distance_prefilter_refuses_exactly_where_the_modulus_does():
+    # The NearPole check forms |z - a| only for a pole whose modulus is within
+    # 2 C + 8 eps max|z| of the range of |z| (C the cutoff).  Points 1e-14 to
+    # 1e-10 from a pole in random directions fall on both sides of the cutoff;
+    # a purely imaginary offset has Re(z - a) = 0 and |z - a| above it, and a
+    # purely real one of 1e-13 is below it.
+    rng = CounterRng(9300)
+    poles = PoleSet([rng.next_radius(1.1, 3.0) * unit_point(rng.next_angle()) for _ in range(3)])
     offsets = [10.0 ** (-14.0 + 4.0 * rng.next_float()) * unit_point(rng.next_angle()) for _ in range(6)]
     offsets += [complex(0.0, 10.0 ** (-11.8 + 1.8 * rng.next_float())), 1e-13]
     seen = set()
     for a in poles.poles:
         for off in offsets:
-            z = a + off
-            few = np.array([unit_point(rng.next_angle()) for _ in range(7)])
-            few[rng.next_u64() % 7] = z
-            wide = grid.copy()
-            wide[rng.next_u64() % wide.size] = z
-            for zs in (z, few, wide):
-                near = min(float(np.abs(np.asarray(zs) - p).min()) for p in poles.poles) < POLE_PROXIMITY_CUTOFF
-                assert near == (abs(z - a) < POLE_PROXIMITY_CUTOFF)
-                if off.real == 0.0 or off == 1e-13:
-                    assert near == (off == 1e-13)
-                seen.add(near)
-                for fn, obj in ((rat_eval, r), (rat_derivative_eval, r), (blaschke_eval, b)):
-                    if near:
-                        with pytest.raises(NearPole):
-                            fn(obj, zs)
-                    else:
-                        fn(obj, zs)
+            near = _assert_refuses_exactly_where_near(poles, a + off, rng)
+            assert near == (abs((a + off) - a) < POLE_PROXIMITY_CUTOFF)
+            if off.real == 0.0 or off == 1e-13:
+                assert near == (off == 1e-13)
+            seen.add(near)
     assert seen == {False, True}
 
 
+def test_radial_check_refuses_exactly_where_the_modulus_does():
+    # Points whose modulus is 0.5 to 3 cutoffs from |a|: straight toward the
+    # pole they are that far from it, and turned by an angle they are far
+    # from it, though the pole passes the radial test.  Near |a| = 1e4 an ulp
+    # of |a| is about the cutoff, and near 1e8 it is 1.5e-8, so there the
+    # slack's rounding term decides.  The last pole sits just below the y at
+    # which np.abs(1e8 + iy) steps up by an ulp: a point less than 1e-13 from
+    # it has computed |z| and |a| an ulp apart, and only the rounding term
+    # keeps the pole in the check.
+    rng = CounterRng(9310)
+    below, above = 1.0, 2.0  # np.abs(1e8 + 1j) is 1e8, np.abs(1e8 + 2j) is 1e8 + ulp
+    while above - below > 5e-14:
+        mid = (below + above) / 2
+        below, above = (mid, above) if np.abs(np.array([complex(1e8, mid)]))[0] == 1e8 else (below, mid)
+    midway, step = complex(1e8, below), complex(0.0, above - below)
+    assert np.abs(np.array([midway + step]))[0] - np.abs(np.array([midway]))[0] == np.spacing(1e8)
+    poles = PoleSet([rng.next_radius(1.1, 3.0) * unit_point(rng.next_angle()) for _ in range(2)]
+                    + [1e4 * unit_point(rng.next_angle()), 1e8 * unit_point(rng.next_angle()), midway])
+    seen = set()
+    for a in poles.poles:
+        for i, s in enumerate((0.5, 1.0, 1.5, 2.0, 3.0)):
+            radial = (-1.0) ** i * s * POLE_PROXIMITY_CUTOFF
+            seen.add(_assert_refuses_exactly_where_near(poles, a * (1.0 + radial / abs(a)), rng))
+            turned = (abs(a) + radial) * a / abs(a) * unit_point(0.1 + 3.0 * rng.next_float())
+            assert not _assert_refuses_exactly_where_near(poles, turned, rng)
+    assert _assert_refuses_exactly_where_near(poles, midway + step, rng)
+    assert seen == {False, True}
+
+
+def test_nan_point_does_not_hide_a_near_pole_point():
+    r = RationalFunction.from_zeros([0.5], PoleSet([2.0]))
+    b = BlaschkeProduct(r.poles)
+    near = 2.0 + 1e-13
+    grid = np.exp(2j * np.pi * np.arange(2 * EVAL_BLOCK) / (2 * EVAL_BLOCK))
+    same_block = grid.copy()
+    same_block[[5, 9]] = near, np.nan
+    other_block = grid.copy()
+    other_block[[5, EVAL_BLOCK + 9]] = np.nan, near
+    for fn, obj in ((rat_eval, r), (rat_derivative_eval, r), (_pole_sums, r), (blaschke_eval, b)):
+        for zs in (near, np.array([near, np.nan]), np.array([np.nan, near]), same_block, other_block):
+            with pytest.raises(NearPole), np.errstate(invalid="ignore"):  # a NaN block is divided before the next one
+                fn(obj, zs)
+        with np.errstate(invalid="ignore"):
+            out = fn(obj, np.full(3, complex(np.nan, np.nan)))
+        assert all(np.all(np.isnan(part)) for part in (out if isinstance(out, tuple) else (out,)))
+
+
 def quotient_rule_reference(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
-    """r'(z) = (p' - p w'/w) / w with w'/w and w each formed in a loop of their own."""
+    """r'(z) = (p' - p w'/w) / w with w and w' formed by the product rule in a loop of their own."""
     pv = poly_eval(r.numer, zs)
     dv = poly_eval(r.numer.derivative(), zs)
-    logw = np.zeros(zs.shape, dtype=np.complex128)
-    for a in r.poles.poles:
-        logw += 1.0 / (zs - a)
     den = np.ones(zs.shape, dtype=np.complex128)
+    dw = np.zeros(zs.shape, dtype=np.complex128)
     for a in r.poles.poles:
         d = zs - a
+        dw = dw * d + den
         den = den * d
+    logw = dw / den
     return (dv - pv * logw) / den
 
 
@@ -345,6 +399,57 @@ def test_pole_sums_match_separate_evaluations_bit_for_bit(n):
             if count == 1:
                 assert rv[0] == rat_eval(r, complex(zs[0]))
                 assert bprime[0] == blaschke_deriv_modulus_on_T1(b, complex(zs[0]))
+
+
+def test_derivative_accuracy_against_50_digits():
+    # r' = (p' - p L)/w with L = w'/w, w and w' from the product-rule recurrence.
+    # Higham (Accuracy and Stability of Numerical Algorithms, 3.6) bounds the
+    # relative error of a complex sum by u = eps/2, of a product by sqrt(2) gamma_2
+    # and of a quotient by sqrt(2) gamma_4; count each operation at 6u, above all
+    # three.  To first order every rounding adds its error once, scaled by the
+    # absolute-value form of what it rounds, with S = sum_j 1/|z - a_j| (Higham 5.1
+    # for Horner):
+    #   p: 2t operations on sum_i |c_i| |z|^i;  p': 2t - 1, with the coefficients'
+    #   i c_i, on sum_i |c'_i| |z|^i;  w: 2n relative;  w': 3n on |w| S, so
+    #   L = w'/w is off by (5n + 1) S;  p' - p L: (2t + 5n + 3) sum |c_i| |z|^i S
+    #   and 2t sum |c'_i| |z|^i;  the division by w: 2n + 1 relative.
+    # So |error| <= gamma_{6(2t + 7n + 4)} (sum |c'_i| |z|^i + sum |c_i| |z|^i S) / |w|.
+    mpmath = pytest.importorskip("mpmath")
+    u = np.finfo(np.float64).eps / 2
+    with mpmath.workdps(50):
+        for n in (1, 3, 12, 24):
+            for trial in range(3):
+                sub = CounterRng(9500 + n).split(trial)
+                poles = PoleSet([(1.0 + 10.0 ** (-2.0 + 4.0 * sub.next_float())) * unit_point(sub.next_angle())
+                                 for _ in range(n)])
+                t = sub.next_u64() % (n + 1)
+                zeros = [2.0 * sub.next_float() * unit_point(sub.next_angle()) for _ in range(t)]
+                r = RationalFunction.from_zeros(zeros, poles, 0.5 + sub.next_float())
+                zs = np.array([unit_point(sub.next_angle()) for _ in range(64)])
+                got = rat_derivative_eval(r, zs)
+                coeffs = [mpmath.mpc(c) for c in r.numer.coeffs]
+                k = 6 * (2 * t + 7 * n + 4)
+                gamma = k * u / (1 - k * u)
+                for z, value in zip(zs, got):
+                    zm = mpmath.mpc(z)
+                    p = mpmath.polyval(coeffs[::-1], zm)
+                    dp = mpmath.polyval([i * c for i, c in enumerate(coeffs)][:0:-1], zm) if t else 0
+                    inv = [1 / (zm - mpmath.mpc(a)) for a in poles.poles]
+                    w = mpmath.fprod(zm - mpmath.mpc(a) for a in poles.poles)
+                    exact = (dp - p * mpmath.fsum(inv)) / w
+                    size = float((mpmath.fsum(i * abs(c) * abs(zm) ** (i - 1) for i, c in enumerate(coeffs))
+                                  + mpmath.fsum(abs(c) * abs(zm) ** i for i, c in enumerate(coeffs))
+                                  * mpmath.fsum(abs(x) for x in inv)) / abs(w))
+                    assert float(abs(mpmath.mpc(value) - exact)) <= gamma * size, (n, trial, z)
+
+
+def test_derivative_where_w_overflows_is_the_rounded_value():
+    # w = (1 - 1e110)^3 overflows to -inf, and w' = 3e220 does not, so
+    # w'/w = -0 and r'(1) = (p' - p w'/w)/w = 1/-inf = -0 in both parts: the
+    # true r'(1) = (p' w - p w')/w^2, about -1e-330, rounds to -0 as well.
+    r = RationalFunction.from_zeros([3.0, -2.0], PoleSet([1e110] * 3))
+    value = rat_derivative_eval(r, 1.0)
+    assert value == 0 and np.signbit(value.real) and np.signbit(value.imag)
 
 
 @pytest.mark.parametrize("count", [16384, 65536])
