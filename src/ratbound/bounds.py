@@ -180,31 +180,33 @@ def rhs_value(theorem: TheoremId, bprime, r_abs, ctx: BoundContext):
 
 def build_context(theorem: TheoremId, r: RationalFunction, k: float, grid_count: int) -> BoundContext:
     """Compute norm and, where the bound uses it, the minimum modulus on |z| = k."""
-    return _unit_pass(theorem, r, k, grid_count)[0]
+    return _unit_pass(theorem, r, CircleGrid(k, grid_count))[0]
 
 
-def _unit_pass(theorem: TheoremId, r: RationalFunction, k: float, grid_count: int) -> tuple:
+def _unit_pass(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> tuple:
     """Context, the unit grid, and |r|, r' and |B'| on it from one pass over the poles.
 
-    The norm scan, and the min scan when m's circle is |z| = 1, take their grid
-    moduli from that pass.  A min scan on another circle runs first, so its refusals come first.
+    The pass runs on grid's unit points, and a min scan on m's circle |z| = grid.k
+    (k != 1) on grid itself, so both circles share one exp(i theta).  The norm scan,
+    and the min scan when m's circle is |z| = 1, take their grid moduli from that
+    pass.  A min scan on another circle runs first, so its refusals come first.
     """
     prof = _PROFILES[theorem]
-    m_k = _pinned_k(prof, k)
+    m_k = _pinned_k(prof, grid.k)
     m = 0.0
     with np.errstate(all="ignore"):
         if prof.uses_m and m_k != 1.0:
-            m = min_modulus_on_circle(r, m_k, CircleGrid(m_k, grid_count)).value
-        unit = CircleGrid(1.0, grid_count)
+            m = min_modulus_on_circle(r, m_k, grid).value
+        unit = CircleGrid(1.0, grid.count)
         _pole_circle_guard(r, 1.0)
-        rv, deriv, bprime = _pole_sums(r, unit.points())
+        rv, deriv, bprime = _pole_sums(r, grid._unit_points)
         r_abs = np.abs(rv)
         norm = _extremum(r, unit, r_abs, True).value
         if prof.uses_m and m_k == 1.0:
             m = _minimum(r, unit, r_abs).value
     if not (np.isfinite(norm) and norm > 0 and np.isfinite(m)):
         raise ParameterOutOfRange(f"instance values leave the double range: sup |r| = {norm!r}, min modulus = {m!r}")
-    ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=k)
+    ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=grid.k)
     _degenerate_guard(theorem, ctx)
     _check_bprime_domain(r.poles)
     return ctx, unit, r_abs, deriv, bprime
@@ -255,7 +257,7 @@ class BoundVerdict:
 def _sweep(theorem: TheoremId, r: RationalFunction, grid: CircleGrid):
     """Context, the unit-circle grid, |r'|, RHS and margins of one grid sweep."""
     check_hypothesis(theorem, r, grid.k)
-    ctx, unit, r_abs, deriv, bprime = _unit_pass(theorem, r, grid.k, grid.count)
+    ctx, unit, r_abs, deriv, bprime = _unit_pass(theorem, r, grid)
     return (ctx, unit) + _margins(theorem, ctx, r_abs, deriv, bprime)
 
 

@@ -12,12 +12,14 @@ value by 2^j and leaves every angle alone.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blaschke import _check_on_unit_circle
-from .errors import NearZeroOfR, PoleOnCircle, ZeroOnContour
+from .errors import NearZeroOfR, ParameterOutOfRange, PoleOnCircle, ZeroOnContour
 from .ratfun import CLASSIFY_BAND, Polynomial, RationalFunction, _pole_sums, _zeros_on_circle, rat_eval
 
 DEFAULT_GRID_COUNT = 1024
@@ -30,7 +32,12 @@ WINDING_MAX = 1 << 22
 
 @dataclass(frozen=True)
 class CircleGrid:
-    """Uniform angular grid on the circle of radius k."""
+    """Uniform angular grid on the circle of radius k.
+
+    The unit points exp(i thetas()) are formed on first use and kept, read-only,
+    for the grid's lifetime, so a grid that is used holds 16 * count bytes.  Every
+    circle's points are k times them, bit for bit as k * exp(i thetas()).
+    """
 
     k: float
     count: int = DEFAULT_GRID_COUNT
@@ -48,8 +55,16 @@ class CircleGrid:
         """thetas()[i], bit for bit, without building the array."""
         return 2.0 * np.pi * i / self.count
 
+    @functools.cached_property
+    def _unit_points(self) -> np.ndarray:
+        # Not a field: asdict, equality and hashing see only k and count.
+        unit = np.exp(1j * self.thetas())
+        unit.flags.writeable = False
+        return unit
+
     def points(self) -> np.ndarray:
-        return self._points_at(self.thetas())
+        """k * exp(i thetas()), a fresh array."""
+        return self.k * self._unit_points
 
     def _points_at(self, thetas: np.ndarray) -> np.ndarray:
         return self.k * np.exp(1j * thetas)
@@ -91,9 +106,17 @@ def _golden(r: RationalFunction, grid: CircleGrid, theta: float, value: float, m
 
 
 def _pole_circle_guard(r: RationalFunction, k: float):
-    gap = float(np.min(np.abs(np.abs(r.poles.as_array()) - k), initial=np.inf))
+    """Refuse a scan of |z| = k that passes a pole or where w = prod_j (z - a_j) may overflow.
+
+    prod_j (|a_j| + k) bounds |w| and each partial product on the circle; the
+    slack covers the rounding of the bound, of the points and of w's factors.
+    """
+    moduli = r.poles._by_modulus[0]
+    gap = min((abs(m - k) for m in moduli), default=math.inf)
     if gap < CLASSIFY_BAND:
         raise PoleOnCircle(f"pole modulus within {gap:.3g} of the scan radius {k}")
+    if not math.isfinite(math.prod(m + k for m in moduli) * (1.0 + 16.0 * (r.n + 1) * 2.0**-52)):
+        raise ParameterOutOfRange(f"w(z) = prod_j (z - a_j) may leave the double range on |z| = {k}")
 
 
 def _circle_grid(r: RationalFunction, k: float, grid: CircleGrid | None) -> CircleGrid:

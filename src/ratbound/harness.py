@@ -167,6 +167,9 @@ def run_campaign(spec: GeneratorSpec, theorem: TheoremId, grid: CircleGrid) -> C
     need p_boundary == 1 with t >= 1, so the stream cannot produce a
     hypothesis-violating instance by construction.  Degenerate
     instances are counted and excluded from the margin aggregate.
+    Every instance is certified on one private copy of the grid, so the
+    circle points are formed once per campaign and freed when it returns;
+    the report carries the caller's grid.
     """
     want = hypothesis_zero_location(theorem, grid.k)
     got = spec.zero_region
@@ -181,9 +184,10 @@ def run_campaign(spec: GeneratorSpec, theorem: TheoremId, grid: CircleGrid) -> C
         raise HypothesisMismatch(f"{theorem.value} needs p_boundary == 1 and t >= 1 to pin a zero on the circle")
     certified = violations = degenerate = skipped = 0
     worst: tuple[float, RationalFunction] | None = None
+    shared = CircleGrid(grid.k, grid.count)
     for r in generate(spec):
         try:
-            verdict = certify(theorem, r, grid)
+            verdict = certify(theorem, r, shared)
         except DegenerateBound:
             degenerate += 1
             continue

@@ -199,7 +199,7 @@ class PoleSet:
         if np.any(moduli <= 1.0):
             raise ValueError(f"pole {arr[np.argmin(moduli)]} has modulus <= 1")
         object.__setattr__(self, "poles", tuple(complex(a) for a in arr))
-        order = np.argsort(moduli, kind="stable")  # by computed modulus, for _check_distance
+        order = np.argsort(moduli, kind="stable")  # by computed modulus, for _check_distance and the pole guard
         object.__setattr__(self, "_by_modulus", (tuple(moduli[order].tolist()), tuple(arr[order].tolist())))
 
     @property

@@ -1,6 +1,8 @@
 """Bound arms, hypothesis gating, certification sweeps, and equality families."""
 
+import math
 import re
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -673,7 +675,8 @@ def test_wide_certify_stays_in_a_few_megabytes():
 
 def test_certify_keeps_no_grid_after_the_call():
     # 2^17 points is a grid count no other test uses, so an array cached per
-    # count, such as the circle points, would still be held after the call.
+    # count in a module would still be held after the call.  The grid's own
+    # unit points go with the grid, a temporary here.
     spec = GeneratorSpec(n=3, t=3, zero_region=ZeroLocation.all_inside_or_on(0.7), seed=4610, count=1)
     (r,) = generate(spec)
     tracemalloc.start()
@@ -685,6 +688,62 @@ def test_certify_keeps_no_grid_after_the_call():
         tracemalloc.stop()
     assert verdict.passed
     assert kept < 64 * 2**10
+
+
+def test_one_shared_grid_gives_the_verdicts_of_fresh_grids():
+    # A campaign certifies every instance on one grid, whose unit points are
+    # formed once; each verdict must equal the one from a grid of its own.
+    for theorem in UPPER_IDS + LOWER_IDS:
+        prof = profile(theorem)
+        k = 1.0 if prof.k_is_one else 1.5 if prof.direction == "upper" else 0.7
+        p_boundary = 1.0 if prof.needs_boundary_zero else 0.0
+        spec = GeneratorSpec(
+            n=4, t=4, zero_region=hypothesis_zero_location(theorem, k), seed=4620, count=20, p_boundary=p_boundary
+        )
+        shared = CircleGrid(k, 1024)
+        for r in generate(spec):
+            outcomes = []
+            for grid in (shared, CircleGrid(k, 1024)):
+                try:
+                    outcomes.append(certify(theorem, r, grid))
+                except DegenerateBound as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], theorem
+
+
+def overflow_edge_instance(ratio):
+    # Poles a, a, 1.01 on the positive real axis, with |w(-1)| = (a + 1)^2 * 2.01
+    # equal to ratio times the largest double: the bound prod_j (|a_j| + 1)
+    # that the sweep checks is |w| at the grid point z = -1 itself.
+    a = math.sqrt(ratio / 2.01) * math.sqrt(sys.float_info.max) - 1.0
+    return RationalFunction.from_zeros([-2.0, 3.0], PoleSet([a, a, 1.01]), 1e300)
+
+
+@pytest.mark.parametrize(
+    "theorem, k",
+    [
+        (TheoremId.LI_UPPER, 1.0),
+        (TheoremId.MAIN_UPPER, 1.0),
+        (TheoremId.AZIZ_SHAH_UPPER_97, 1.0),
+        (TheoremId.MAIN_UPPER, 1.5),
+        (TheoremId.AZIZ_ZARGER_99, 1.5),
+    ],
+)
+def test_certify_refuses_where_w_overflows(theorem, k):
+    # Where w leaves the double range r = p/w reads 0 and w'/w has no
+    # digits, yet the margins stay finite, so m and the margins would be
+    # junk.  The sweep refuses from within a rounding slack of the first
+    # grid point whose w overflows; main-upper at k = 1.5 refuses on m's circle.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        over = overflow_edge_instance(1.0 + 1e-12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert rat_eval(over, -1.0) == 0.0
+        with pytest.raises(ParameterOutOfRange, match="double range"):
+            certify(theorem, over, CircleGrid(k, 1024))
+        under = overflow_edge_instance(1.0 - 1e-12)
+        assert rat_eval(under, -1.0) != 0.0
+        assert certify(theorem, under, CircleGrid(1.0, 1024)).context.norm > 0.0
 
 
 def test_certify_boundary_zero_corollary():

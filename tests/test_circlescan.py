@@ -1,5 +1,6 @@
 """Circle extrema, winding counts, and the log-derivative facts they certify."""
 
+import dataclasses
 import math
 import warnings
 
@@ -14,6 +15,7 @@ from ratbound import (
     GeneratorSpec,
     NearZeroOfR,
     OffCircle,
+    ParameterOutOfRange,
     PoleOnCircle,
     PoleSet,
     Polynomial,
@@ -76,6 +78,32 @@ def test_grid_validation():
 def test_grid_theta_is_the_array_element(count):
     grid = CircleGrid(1.0, count)
     assert [grid.theta(i) for i in range(count)] == grid.thetas().tolist()
+
+
+@pytest.mark.parametrize("count", [64, 4096, 65536])
+@pytest.mark.parametrize("k", [0.7, 1.0, 1.5, 2.0**-30, 3e5])
+def test_points_are_k_times_exp_bit_for_bit(k, count):
+    # The points come from the grid's unit points, formed once, and must keep
+    # the bits of k * exp(i theta) computed afresh.
+    expected = k * np.exp(1j * CircleGrid(k, count).thetas())
+    grid = CircleGrid(k, count)
+    for _ in range(2):
+        assert np.array_equal(grid.points().view(np.int64), expected.view(np.int64))
+
+
+def test_unit_points_are_read_only_and_unshared():
+    grid = CircleGrid(1.5, 64)
+    pts = grid.points()
+    unit = grid._unit_points
+    assert grid._unit_points is unit and not unit.flags.writeable
+    with pytest.raises(ValueError):
+        unit[0] = 0.0
+    assert pts.flags.writeable and not np.shares_memory(pts, unit)
+    pts[0] = 0.0
+    assert grid.points()[0] == 1.5 and unit[0] == 1.0
+    # The cached array is no field: equality, hashing and asdict see k and count only.
+    assert grid == CircleGrid(1.5, 64) and hash(grid) == hash(CircleGrid(1.5, 64))
+    assert dataclasses.asdict(grid) == {"k": 1.5, "count": 64}
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +200,21 @@ def test_scan_rejects_pole_on_circle():
         sup_modulus_on_circle(r, 1.5)
     with pytest.raises(PoleOnCircle):
         min_modulus_on_circle(r, 1.5 + 1e-10)
+
+
+def test_scan_refuses_where_w_may_overflow():
+    # prod_j (|a_j| + k) bounds |w| on |z| = k; past the double range both
+    # scans refuse before they evaluate, on the circle whose bound overflows.
+    r = RationalFunction.from_zeros([-2.0, 3.0], PoleSet([1e154, 1e154, 1.01]), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scan in (sup_modulus_on_circle, min_modulus_on_circle):
+            with pytest.raises(ParameterOutOfRange, match="double range"):
+                scan(r, 1.0)
+        small = RationalFunction.from_zeros([-2.0, 3.0], PoleSet([1e150, 1e150, 1.01]), 1e300)
+        assert min_modulus_on_circle(small, 1.0).value > 0.0
+        with pytest.raises(ParameterOutOfRange):
+            min_modulus_on_circle(small, 1e9)
 
 
 def test_scan_determinism():

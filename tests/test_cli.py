@@ -194,6 +194,35 @@ def test_overflow_prints_no_numpy_warning(tmp_path, capsys, doc):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+# w = prod_j (z - a_j) overflows near z = -1, where r = p/w would read 0.
+W_OVERFLOWS = {"poles": [[1e154, 0], [1e154, 0], [1.01, 0]], "zeros": [[-2, 0], [3, 0]], "leading": [1e300, 0]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "li-upper", "--k", "1"],
+        ["certify", "main-upper", "--k", "1"],
+        ["certify", "aziz-shah-upper-97", "--k", "1"],
+        ["certify", "main-upper", "--k", "1.5"],
+        ["certify", "aziz-zarger-99", "--k", "1.5"],
+        ["curves", "main-upper", "--k", "1.5"],
+    ],
+    ids=lambda argv: "-".join(argv[:2] + argv[-1:]),
+)
+def test_w_overflow_exits_one(tmp_path, capsys, argv):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(W_OVERFLOWS), encoding="utf-8")
+    out = tmp_path / "curve.csv"
+    full = argv[:1] + [str(path), argv[1]] + ([str(out)] if argv[0] == "curves" else []) + argv[2:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(full) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("ParameterOutOfRange") and not out.exists()
+
+
 BIG_ZERO = {"poles": [[3, 0]], "zeros": [[1e200, 0]], "leading": [1, 0]}
 # A JSON integer beyond the double range.
 HUGE_INT = 10**400

@@ -1,6 +1,7 @@
 """Instance generation streams, campaign reports, and their reproducibility."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,23 @@ def test_campaign_tally_matches_one_by_one(monkeypatch):
         worst, worst_r = min(verdicts, key=lambda pair: pair[0].min_margin)
         assert report.min_margin == worst.min_margin
         assert report.worst_instance == dict(instance_to_dict(worst_r, grid.k), min_margin=worst.min_margin)
+
+
+def test_campaign_keeps_no_grid_after_it_returns():
+    # The campaign forms its circle points once on a grid of its own and frees
+    # them on return; the caller's grid, which the test keeps, holds none.
+    # 2^17 points is a grid count no other test uses: 2 MiB if it were kept.
+    spec = GeneratorSpec(n=3, t=3, zero_region=ZeroLocation.all_inside_or_on(0.7), seed=4611, count=2)
+    grid = CircleGrid(0.7, 1 << 17)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = run_campaign(spec, TheoremId.MAIN_LOWER, grid)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert report.certified == 2 and report.grid is grid
+    assert kept < 64 * 2**10
 
 
 def test_campaign_json_is_stable():
