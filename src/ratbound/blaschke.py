@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OffCircle, ParameterOutOfRange
-from .ratfun import PoleSet, RationalFunction, _check_distance, _log_derivative, _pole_sums, pointwise
+from .ratfun import PoleSet, RationalFunction, _check_distance, _pole_pass, _pole_sums, pointwise
 
 # How far |z| may sit from 1 before circle-only formulas are refused.
 UNIT_CIRCLE_TOL = 1e-12
@@ -32,13 +32,6 @@ def _check_on_unit_circle(z):
     drift = float(np.max(np.abs(np.abs(z) - 1.0), initial=0.0))
     if not drift <= UNIT_CIRCLE_TOL:  # so that a NaN point is off the circle
         raise OffCircle(f"point off the unit circle by {drift:.3g}")
-
-
-def _check_bprime_domain(poles: PoleSet):
-    """Refuse a pole whose |a|^2 overflows: |B'| is taken only below about 1.3e154."""
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(np.abs(poles.as_array()) ** 2)):
-            raise ParameterOutOfRange("a pole above 1.3e154 puts |B'(z)| outside the double range")
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -68,6 +61,7 @@ class BlaschkeProduct:
         1/conj(a_j); on the unit circle the value is real and equals
         |B'(z)|.
         """
+        _check_distance(zs, self.poles)
         acc = np.zeros(zs.shape, dtype=np.complex128)
         for a in self.poles.poles:
             ac = np.conj(a)
@@ -97,14 +91,11 @@ def blaschke_deriv_modulus_on_T1(b: BlaschkeProduct, zs):
 
     Returns a strictly positive real for a nonempty pole set and 0.0 for the
     empty product.  Raises OffCircle when |z| strays from 1 by more than 1e-12,
-    and ParameterOutOfRange for a pole whose |a|^2 overflows, where w overflows
+    NearPole within 1e-12 of a pole, and ParameterOutOfRange where w overflows
     (w'/w could read 0 there, and |B'| n) or for a value that is not finite.
     """
     _check_on_unit_circle(zs)
-    _check_bprime_domain(b.poles)
-    den, logw = _log_derivative(zs, b.poles)
-    _finite(den, "w(z) values")
-    return _finite(b.poles.n - 2.0 * (zs * logw).real, "|B'(z)| values")
+    return _finite(_pole_pass(zs, b.poles)[2], "|B'(z)| values")
 
 
 @pointwise
@@ -113,9 +104,8 @@ def star_transform_deriv_modulus(r: RationalFunction, zs):
 
     Uses the circle identity |(r*)'(z)| = | |B'(z)| r(z) - z r'(z) |,
     which avoids differentiating the conjugated argument numerically.
-    Raises ParameterOutOfRange for a pole above 1.3e154 or a non-finite value.
+    Raises ParameterOutOfRange where w overflows or for a non-finite value.
     """
     _check_on_unit_circle(zs)
-    _check_bprime_domain(r.poles)
     rv, deriv, bprime = _pole_sums(r, zs)
     return _finite(np.abs(bprime * rv - zs * deriv), "|(r*)'(z)| values")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import _check_bprime_domain, _check_on_unit_circle, _finite
+from .blaschke import _check_on_unit_circle, _finite
 from .circlescan import DEFAULT_GRID_COUNT, CircleGrid, _extremum, _minimum, _pole_circle_guard, min_modulus_on_circle
 from .errors import DegenerateBound, HypothesisViolated, ParameterOutOfRange
 from .ratfun import (
@@ -208,7 +208,6 @@ def _unit_pass(theorem: TheoremId, r: RationalFunction, grid: CircleGrid) -> tup
         raise ParameterOutOfRange(f"instance values leave the double range: sup |r| = {norm!r}, min modulus = {m!r}")
     ctx = BoundContext(norm=norm, m=m, t=r.t, n=r.n, k=grid.k)
     _degenerate_guard(theorem, ctx)
-    _check_bprime_domain(r.poles)
     return ctx, unit, r_abs, deriv, bprime
 
 

@@ -9,6 +9,7 @@ same instance can be regenerated in isolation.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -33,6 +34,14 @@ SEPARATION = 1e-6
 DRAW_BUDGET = 100_000
 
 
+def _is_number(x, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """x is a finite number of one of ``kinds``; True, False and strings are not numbers."""
+    try:
+        return isinstance(x, kinds) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters of one reproducible instance stream."""
@@ -46,19 +55,22 @@ class GeneratorSpec:
     p_boundary: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_number(self.n, int) and self.n >= 1):
             raise SpecInvalid("pole count n must be an integer >= 1")
-        if not (isinstance(self.t, int) and 0 <= self.t <= self.n):
+        if not (_is_number(self.t, int) and 0 <= self.t <= self.n):
             raise SpecInvalid("zero count t must be an integer in [0, n]")
         if not isinstance(self.zero_region, ZeroLocation):
             raise SpecInvalid("zero_region must be a ZeroLocation")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise SpecInvalid("seed must fit in 64 bits")
-        if not (isinstance(self.count, int) and self.count >= 1):
+        if not (_is_number(self.seed, int) and 0 <= self.seed < 2**64):
+            raise SpecInvalid("seed must be an integer that fits in 64 bits")
+        if not (_is_number(self.count, int) and self.count >= 1):
             raise SpecInvalid("instance count must be an integer >= 1")
-        lo, hi = self.pole_annulus
+        annulus = self.pole_annulus
+        if not (isinstance(annulus, (tuple, list)) and len(annulus) == 2 and all(map(_is_number, annulus))):
+            raise SpecInvalid("pole annulus must be a pair of finite real numbers (r_min, r_max)")
+        lo, hi = annulus
         # CounterRng.next_radius squares r_max.
-        if not (np.isfinite(lo) and np.isfinite(float(hi) * float(hi)) and HARD_POLE_FLOOR <= lo < hi):
+        if not (np.isfinite(float(hi) * float(hi)) and HARD_POLE_FLOOR <= lo < hi):
             raise SpecInvalid(f"pole annulus needs {HARD_POLE_FLOOR} <= r_min < r_max with r_max**2 finite")
         if lo < COMFORTABLE_POLE_FLOOR:
             warnings.warn(
@@ -70,7 +82,7 @@ class GeneratorSpec:
         rho_max = float(self.zero_region.k) + 2.0
         if self.zero_region.mode == MODE_OUTSIDE and not np.isfinite(rho_max * rho_max):
             raise SpecInvalid(f"outside zero region k={self.zero_region.k} needs (k + 2)**2 finite")
-        if not (np.isfinite(self.p_boundary) and 0.0 <= self.p_boundary <= 1.0):
+        if not (_is_number(self.p_boundary) and 0.0 <= self.p_boundary <= 1.0):
             raise SpecInvalid("p_boundary must lie in [0, 1]")
 
 

@@ -311,14 +311,17 @@ def _denominator(r: RationalFunction, zs: np.ndarray) -> np.ndarray:
     return den
 
 
-def _log_derivative(zs: np.ndarray, poles: PoleSet) -> tuple:
-    """w = prod_j (z - a_j) and w'/w by the product rule, with one division per point.
+def _pole_pass(zs: np.ndarray, poles: PoleSet) -> tuple:
+    """w = prod_j (z - a_j), w'/w and n - 2 Re(z w'/w), which is |B'(z)| on |z| = 1.
 
-    With d = z - a_j: w' <- w' d + w, then w <- w d, _denominator's product bit
-    for bit.  The error of w'/w is a few (n + 1) eps times sum_j 1/|z - a_j| at
-    most (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  Where
-    w overflows, w'/w is a signed zero while w' is finite and NaN once it is not.
+    After the NearPole check w and w' come by the product rule, with d = z - a_j:
+    w' <- w' d + w, then w <- w d, _denominator's product bit for bit.  On |z| = 1
+    each term (|a_j|^2 - 1)/|z - a_j|^2 of |B'| is 1 - 2 Re(z/(z - a_j)).  w'/w is off
+    by a few (n + 1) eps times sum_j 1/|z - a_j| at most (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3).  A finite point whose w leaves the double range,
+    where w'/w has no digits, raises ParameterOutOfRange.
     """
+    _check_distance(zs, poles)
     den = np.ones(zs.shape, dtype=np.complex128)
     dw = np.zeros(zs.shape, dtype=np.complex128)
     with np.errstate(all="ignore"):
@@ -326,7 +329,10 @@ def _log_derivative(zs: np.ndarray, poles: PoleSet) -> tuple:
             d = zs - a
             dw = dw * d + den
             den = den * d
-        return den, dw / den
+        if not np.isfinite(den).all() and np.isfinite(zs[~np.isfinite(den)]).any():
+            raise ParameterOutOfRange("w(z) = prod_j (z - a_j) leaves the double range")
+        logw = dw / den
+        return den, logw, poles.n - 2.0 * (zs * logw).real
 
 
 @pointwise
@@ -337,19 +343,11 @@ def rat_eval(r: RationalFunction, zs):
 
 @pointwise
 def _pole_sums(r: RationalFunction, zs):
-    """r(z), r'(z) and n - 2 Re(z w'(z)/w(z)), which is |B'(z)| on |z| = 1.
-
-    One NearPole check and one pass over the poles (_log_derivative) give
-    r = p/w and r' = (p' - p w'/w)/w; on |z| = 1 each term (|a_j|^2 - 1)/|z - a_j|^2
-    of |B'| is 1 - 2 Re(z/(z - a_j)).  r and |B'| equal rat_eval's and
-    blaschke_deriv_modulus_on_T1's bit for bit.  Where w overflows r has no
-    digits left; the callers refuse a value that is not finite.
-    """
-    _check_distance(zs, r.poles)
-    den, logw = _log_derivative(zs, r.poles)
+    """r = p/w, r' = (p' - p w'/w)/w and |B'| on |z| = 1 from one _pole_pass; r has rat_eval's bits."""
+    den, logw, bprime = _pole_pass(zs, r.poles)
     pv = _horner(r.numer.coeffs, zs)
     dv = _horner(r.numer.derivative().coeffs, zs)
-    return pv / den, (dv - pv * logw) / den, r.poles.n - 2.0 * (zs * logw).real
+    return pv / den, (dv - pv * logw) / den, bprime
 
 
 @pointwise

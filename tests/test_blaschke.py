@@ -121,17 +121,31 @@ def test_plain_list_of_poles_and_call_syntax():
     assert r(z) == rat_eval(r, z)
 
 
-def test_huge_pole_refused_without_warnings():
-    # |a|^2 overflows for a pole above about 1.3e154, so |B'| is not a
-    # double; r' does not use it and keeps its value.
-    poles = PoleSet([1e200])
-    r = RationalFunction.from_zeros([-2.0], poles)
+@pytest.mark.parametrize(
+    "poles", [[1e200], [1e300, 1.5], [3 + 1e300j]], ids=["1e200", "1e300-and-1.5", "imag-1e300"]
+)
+def test_huge_pole_deriv_moduli_against_50_digits(poles):
+    # |B'| = n - 2 Re(z w'/w) forms no |a|^2, so a pole far beyond 1.3e154,
+    # where |a|^2 overflows, still gives |B'| and |(r*)'| to a few eps.
+    mpmath = pytest.importorskip("mpmath")
+    r = RationalFunction.from_zeros([-2.0], PoleSet(poles))
+    zs = np.array([unit_point(theta) for theta in (0.0, 0.7, 2.0, np.pi, 4.5)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ParameterOutOfRange):
-            blaschke_deriv_modulus_on_T1(BlaschkeProduct(poles), 1.0)
-        with pytest.raises(ParameterOutOfRange):
-            star_transform_deriv_modulus(r, 1.0)
+        bprime = blaschke_deriv_modulus_on_T1(BlaschkeProduct(r.poles), zs)
+        star = star_transform_deriv_modulus(r, zs)
+    with mpmath.workdps(50):
+        aa = [mpmath.mpc(a) for a in r.poles.poles]
+        for z, got_b, got_s in zip(zs, bprime, star):
+            zm = mpmath.mpc(z)
+            exact_b = mpmath.fsum((abs(a) ** 2 - 1) / abs(zm - a) ** 2 for a in aa)
+            rv = (zm + 2) / mpmath.fprod(zm - a for a in aa)
+            deriv = rv * (1 / (zm + 2) - mpmath.fsum(1 / (zm - a) for a in aa))
+            exact_s = abs(exact_b * rv - zm * deriv)
+            assert abs(got_b - exact_b) <= 1e-15 * exact_b, z
+            assert abs(got_s - exact_s) <= 1e-15 * exact_s, z
+    # r' = -(a + 2)/(1 - a)^2 at z = 1 for the single pole a = 1e200.
+    if poles == [1e200]:
         assert abs(rat_derivative_eval(r, 1.0) + 1e-200) <= 1e-215
 
 
@@ -147,6 +161,45 @@ def test_deriv_modulus_refused_where_w_overflows():
             with pytest.raises(ParameterOutOfRange):
                 blaschke_deriv_modulus_on_T1(b, z)
         assert abs(blaschke_deriv_modulus_on_T1(b, 1.0) - 203.0) <= 1e-12 * 203.0
+
+
+# Poles 1e154, 1e154 and 1.01: |w(-1)| = 2.01e308 overflows and |w(1)| = 1e306 does not.
+W_OVERFLOWS = RationalFunction.from_zeros([-2.0, 3.0], PoleSet([1e154, 1e154, 1.01]), 1e300)
+
+
+def _on_poles(fn):
+    """fn(b, z) as an evaluator of r that uses only r's poles."""
+    return lambda r, z: fn(BlaschkeProduct(r.poles), z)
+
+
+# (evaluator of r at z, whether it takes w'/w, its value for W_OVERFLOWS at z = 1).
+POINT_EVALUATORS = {
+    "rat_eval": (rat_eval, False, complex(5.999999999999995e-06, -0.0)),
+    "rat_derivative_eval": (rat_derivative_eval, True, complex(0.000598999999999999, -0.0)),
+    "blaschke_eval": (_on_poles(blaschke_eval), False, complex(1.0, -0.0)),
+    "z_log_derivative": (_on_poles(BlaschkeProduct.z_log_derivative), False, complex(202.99999999999983, 0.0)),
+    "blaschke_deriv_modulus_on_T1": (_on_poles(blaschke_deriv_modulus_on_T1), True, 202.99999999999983),
+    "star_transform_deriv_modulus": (star_transform_deriv_modulus, True, 0.000618999999999999),
+    "log_derivative_real_part": (log_derivative_real_part, True, 99.83333333333324),
+}
+
+
+@pytest.mark.parametrize("name", POINT_EVALUATORS)
+def test_point_evaluator_refusals(name):
+    # Each evaluator refuses a point within 1e-12 of a pole, and each that
+    # takes w'/w refuses a point whose w leaves the double range; neither
+    # refusal lets a numpy warning through, and a point with a finite w
+    # keeps its value bit for bit.
+    fn, takes_log_derivative, at_one = POINT_EVALUATORS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NearPole):
+            fn(RationalFunction.from_zeros([-2.0], PoleSet([1.0 + 1e-13])), 1.0)
+        if takes_log_derivative:
+            with pytest.raises(ParameterOutOfRange, match="double range"):
+                fn(W_OVERFLOWS, -1.0)
+        value = complex(fn(W_OVERFLOWS, 1.0))
+    assert (value.real.hex(), value.imag.hex()) == (at_one.real.hex(), at_one.imag.hex())
 
 
 def test_deriv_modulus_accuracy_against_50_digits():
@@ -174,8 +227,12 @@ def test_deriv_modulus_accuracy_against_50_digits():
 
 def test_eval_near_pole_rejected():
     b = BlaschkeProduct(PoleSet([2.0]))
-    with pytest.raises(NearPole):
-        blaschke_eval(b, 2.0 + 1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NearPole):
+            blaschke_eval(b, 2.0 + 1e-13)
+        with pytest.raises(NearPole):
+            b.z_log_derivative(2.0)
 
 
 def test_empty_product_is_one():

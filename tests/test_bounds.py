@@ -602,16 +602,33 @@ def test_certify_refuses_pole_next_to_unit_circle():
     "theorem, k, r",
     [
         (TheoremId.LI_UPPER, 1.0, RationalFunction.from_zeros([-2] * 3, PoleSet([3] * 3), 1e307)),
-        (TheoremId.LI_UPPER, 1.0, RationalFunction.from_zeros([-2], PoleSet([1e200]))),
         (TheoremId.MAIN_UPPER, 1.5, RationalFunction.from_zeros([1e200], PoleSet([3]))),
     ],
-    ids=["leading-1e307", "pole-1e200", "zero-1e200"],
+    ids=["leading-1e307", "zero-1e200"],
 )
 def test_certify_refuses_overflow_without_warnings(theorem, k, r):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterOutOfRange):
             certify(theorem, r, CircleGrid(k, 1024))
+
+
+def test_certify_huge_pole_against_50_digits():
+    # A pole of 1e200 leaves w, |B'| and every margin a double: sup |r| is
+    # 3/(a - 1) at z = 1, and li-upper's margin is |B'| ||r|| / 2 - |r'|.
+    mpmath = pytest.importorskip("mpmath")
+    r = RationalFunction.from_zeros([-2.0], PoleSet([1e200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = certify(TheoremId.LI_UPPER, r, CircleGrid(1.0, 1024))
+    assert verdict.passed
+    with mpmath.workdps(50):
+        a = mpmath.mpf(1e200)
+        z = mpmath.mpc(complex(np.exp(1j * verdict.worst_theta)))
+        norm = 3 / (a - 1)
+        margin = (a**2 - 1) / abs(z - a) ** 2 * norm / 2 - abs((a + 2) / (z - a) ** 2)
+        assert abs(verdict.context.norm - norm) <= 1e-15 * norm
+        assert abs(verdict.min_margin - margin) <= 1e-15 * margin
 
 
 def test_certify_extremal_tight_at_angle_zero():

@@ -60,6 +60,12 @@ def test_spec_rejects_bad_fields():
         GeneratorSpec(**spec_kwargs(p_boundary=1.5))
     with pytest.raises(SpecInvalid, match="zero region"):
         GeneratorSpec(**spec_kwargs(zero_region=ZeroLocation.all_outside_or_on(1.5e154)))
+    # Malformed fields, not only out-of-range ones; instance files refuse booleans too.
+    for bad in (dict(pole_annulus=(1.1,)), dict(pole_annulus=(1.1, "3")), dict(pole_annulus=None),
+                dict(pole_annulus=(1.1, 10**400)), dict(p_boundary="0.5"), dict(p_boundary=None),
+                dict(seed=True), dict(n=True, t=1)):
+        with pytest.raises(SpecInvalid):
+            GeneratorSpec(**spec_kwargs(**bad))
 
 
 def test_spec_warns_on_tight_pole_floor():

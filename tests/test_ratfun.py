@@ -1,5 +1,7 @@
 """Polynomial and rational-function arithmetic against hand and finite-difference oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -443,13 +445,15 @@ def test_derivative_accuracy_against_50_digits():
                     assert float(abs(mpmath.mpc(value) - exact)) <= gamma * size, (n, trial, z)
 
 
-def test_derivative_where_w_overflows_is_the_rounded_value():
-    # w = (1 - 1e110)^3 overflows to -inf, and w' = 3e220 does not, so
-    # w'/w = -0 and r'(1) = (p' - p w'/w)/w = 1/-inf = -0 in both parts: the
-    # true r'(1) = (p' w - p w')/w^2, about -1e-330, rounds to -0 as well.
+def test_derivative_refused_where_w_overflows():
+    # w = (1 - 1e110)^3 overflows to -inf, so w'/w = -0 has no digits and
+    # r'(1) = (p' - p w'/w)/w would read -0 whatever the true value.
     r = RationalFunction.from_zeros([3.0, -2.0], PoleSet([1e110] * 3))
-    value = rat_derivative_eval(r, 1.0)
-    assert value == 0 and np.signbit(value.real) and np.signbit(value.imag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (1.0, np.array([-1e-3, 1.0])):
+            with pytest.raises(ParameterOutOfRange, match="double range"):
+                rat_derivative_eval(r, z)
 
 
 @pytest.mark.parametrize("count", [16384, 65536])
